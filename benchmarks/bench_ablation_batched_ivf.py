@@ -5,16 +5,13 @@ of each query streaming its probed buckets, each bucket is scanned
 once for every query probing it.  This is the real (measured, not
 modeled) engine-level speedup behind the Milvus curves in Fig. 8.
 
-Since the kernel push the bucket-major loop lives inside
-``IVFIndexBase._search_batched`` (and ``BatchedIVFSearcher`` merely
-delegates), so the per-query side of this ablation pins
-``REPRO_KERNELS=0`` to force the reference per-query-per-bucket path.
+Both sides run ``IVFIndexBase.search`` on the same index: the
+per-query side issues one nq=1 search per query, the bucket-major side
+one search over the whole batch.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 
 import numpy as np
@@ -22,7 +19,6 @@ import pytest
 
 from repro.bench import print_series
 from repro.datasets import random_queries, sift_like
-from repro.hetero.batched import BatchedIVFSearcher
 from repro.index import IVFFlatIndex
 
 N = 30000
@@ -33,20 +29,6 @@ BATCHES = (1, 8, 64, 256, 1024)
 _cache = {}
 
 
-@contextlib.contextmanager
-def reference_path():
-    """Force the per-query reference scan loop (kernels disabled)."""
-    old = os.environ.get("REPRO_KERNELS")
-    os.environ["REPRO_KERNELS"] = "0"
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_KERNELS"]
-        else:
-            os.environ["REPRO_KERNELS"] = old
-
-
 def setup():
     if "bundle" not in _cache:
         data = sift_like(N, dim=DIM, n_clusters=64, seed=0)
@@ -54,22 +36,27 @@ def setup():
         index = IVFFlatIndex(DIM, nlist=128, seed=0)
         index.train(data)
         index.add(data)
-        _cache["bundle"] = (queries, index, BatchedIVFSearcher(index))
+        _cache["bundle"] = (queries, index)
     return _cache["bundle"]
 
 
+def search_per_query(index, queries, nprobe):
+    """One nq=1 search per query, stacked into a batch-shaped result."""
+    parts = [index.search(q[np.newaxis], K, nprobe=nprobe) for q in queries]
+    return np.vstack([p.ids for p in parts])
+
+
 def run_sweep(nprobe=16):
-    queries, index, batched = setup()
+    queries, index = setup()
     rows = []
     for m in BATCHES:
         q = queries[:m]
         index.search(q[:1], K, nprobe=nprobe)  # warm-up
-        with reference_path():
-            t0 = time.perf_counter()
-            index.search(q, K, nprobe=nprobe)
-            per_query = time.perf_counter() - t0
         t0 = time.perf_counter()
-        batched.search(q, K, nprobe=nprobe)
+        search_per_query(index, q, nprobe)
+        per_query = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        index.search(q, K, nprobe=nprobe)
         bucket_major = time.perf_counter() - t0
         rows.append((m, per_query, bucket_major))
     return rows
@@ -81,11 +68,11 @@ def sweep():
 
 
 def test_identical_results():
-    queries, index, batched = setup()
-    with reference_path():
-        r1 = index.search(queries[:64], K, nprobe=16)
-    r2 = batched.search(queries[:64], K, nprobe=16)
-    np.testing.assert_array_equal(r1.ids, r2.ids)
+    queries, index = setup()
+    per_query = search_per_query(index, queries[:64], 16)
+    np.testing.assert_array_equal(
+        per_query, index.search(queries[:64], K, nprobe=16).ids
+    )
 
 
 def test_batched_wins_at_large_batch(sweep):
@@ -99,14 +86,13 @@ def test_advantage_grows_with_batch(sweep):
 
 
 def test_benchmark_per_query(benchmark):
-    queries, index, __ = setup()
-    with reference_path():
-        benchmark(lambda: index.search(queries[:256], K, nprobe=16))
+    queries, index = setup()
+    benchmark(lambda: search_per_query(index, queries[:256], 16))
 
 
 def test_benchmark_bucket_major(benchmark):
-    queries, __, batched = setup()
-    benchmark(lambda: batched.search(queries[:256], K, nprobe=16))
+    queries, index = setup()
+    benchmark(lambda: index.search(queries[:256], K, nprobe=16))
 
 
 def main():

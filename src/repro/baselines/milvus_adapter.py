@@ -1,9 +1,8 @@
 """Our system behind the benchmark interface.
 
-Uses the bucket-major batched execution (the cache-aware design) for
-IVF indexes and plain batched search otherwise, plus strategy-D
-attribute filtering — i.e. the engine as a user of this library would
-actually run it.
+Plain batched index search (bucket-major for the IVF family, the
+cache-aware design) plus strategy-D attribute filtering — i.e. the
+engine as a user of this library would actually run it.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ import numpy as np
 
 from repro.baselines.base import BaselineEngine
 from repro.filtering import AttributeFilterEngine
-from repro.hetero.batched import BatchedIVFSearcher
 from repro.index import create_index
 from repro.index.base import SearchResult
-from repro.index.ivf_common import IVFIndexBase
 from repro.metrics import get_metric
 
 
@@ -38,7 +35,6 @@ class MilvusEngine(BaselineEngine):
         self.filter_strategy = filter_strategy
         self.index_params = index_params
         self._index = None
-        self._batched: Optional[BatchedIVFSearcher] = None
         self._filter_engine: Optional[AttributeFilterEngine] = None
 
     def fit(self, data: np.ndarray, attributes: Optional[np.ndarray] = None) -> None:
@@ -49,9 +45,6 @@ class MilvusEngine(BaselineEngine):
         if self._index.requires_training:
             self._index.train(data)
         self._index.add(data)
-        self._index.warm()
-        if isinstance(self._index, IVFIndexBase):
-            self._batched = BatchedIVFSearcher(self._index)
         if attributes is not None:
             self._filter_engine = AttributeFilterEngine(
                 data, attributes, metric=self.metric.name, index=self._index
@@ -61,8 +54,6 @@ class MilvusEngine(BaselineEngine):
         if self._index is None:
             raise RuntimeError("fit() first")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        if self._batched is not None:
-            return self._batched.search(queries, k, nprobe=int(params.get("nprobe", 8)))
         return self._index.search(queries, k, **params)
 
     def filtered_search(

@@ -4,20 +4,17 @@ The L2 kernel lowers onto one GEMM via the expansion
 ``|q - x|^2 = |q|^2 - 2 q.x + |x|^2`` (paper Sec. 3.2); the data-side
 ``|x|^2`` term depends only on the stored vectors, yet the serial
 engine recomputed it for every query batch.  A :class:`NormCache`
-hangs off each owner of immutable vector data — one per
-:class:`~repro.storage.segment.Segment` and one per
-:class:`~repro.index.ivf_flat.IVFFlatIndex` — and memoizes:
+hangs off each :class:`~repro.storage.segment.Segment` (IVF indexes
+store their norms in their layout instead) and memoizes:
 
 * ``squared_norms`` — the ``|x|^2`` row vector (L2 scans);
 * ``unit_rows`` — unit-normalized rows (cosine scans).
 
-Keys are caller-chosen (field name for segments, ``(bucket, size)``
-for IVF inverted lists).  Invalidation rules (docs/INTERNALS.md §13):
-segments are immutable after sealing, so a segment's cache lives and
-dies with the segment object (merge produces a *new* segment, and a
-bufferpool eviction drops cache and segment together); IVF indexes
-call :meth:`invalidate` from ``_add`` because appends mutate bucket
-contents in place.
+Keys are caller-chosen (the field name).  Invalidation rules
+(docs/INTERNALS.md §13): segments are immutable after sealing, so a
+segment's cache lives and dies with the segment object (merge produces
+a *new* segment, and a bufferpool eviction drops cache and segment
+together).
 
 Hit/miss counters land in the metrics registry
 (``normcache_hits_total`` / ``normcache_misses_total``), so the cache

@@ -31,14 +31,12 @@ from repro.hetero.sq8h import SQ8HExecutor, SQ8HConfig, ExecutionPlan
 from repro.hetero.scheduler import SegmentScheduler, SearchTask
 from repro.hetero.engine import GPUSearchEngine, GPUSearchOutcome
 from repro.hetero.fpga import FPGAPQExecutor, FPGASpec
-from repro.hetero.batched import BatchedIVFSearcher
 
 __all__ = [
     "GPUSearchEngine",
     "GPUSearchOutcome",
     "FPGAPQExecutor",
     "FPGASpec",
-    "BatchedIVFSearcher",
     "CPUSpec",
     "GPUSpec",
     "SIMDLevel",

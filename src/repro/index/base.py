@@ -199,15 +199,6 @@ class VectorIndex(abc.ABC):
     def memory_bytes(self) -> int:
         """Approximate resident size, used by the bufferpool."""
 
-    def warm(self) -> None:
-        """Precompute query-independent scan-acceleration state.
-
-        Optional build-time hook (engines call it after ``add``) so
-        first-query latency excludes one-time work such as per-bucket
-        code casts, decoded norms, or flat LUT indices.  Idempotent;
-        never changes results or work counters.  Default: nothing.
-        """
-
     def row_code_bytes(self) -> int:
         """Bytes of stored code scanned per row during search.
 

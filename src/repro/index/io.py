@@ -6,7 +6,9 @@ indexes are rebuilt instead — their construction is the index, and
 Milvus likewise rebuilds asynchronously (Sec. 5.1).
 
 Format: one npz blob with a JSON ``meta`` entry, mirroring segment
-serialization.
+serialization.  IVF indexes store their layout as is — ``offsets``,
+bucket-sorted ``ids`` and ``codes`` — and recompute the per-row scan
+terms on load, exactly as ``add`` does.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ def index_to_bytes(index: VectorIndex) -> bytes:
     elif isinstance(index, IVFIndexBase):
         meta["nlist"] = index.nlist
         arrays["centroids"] = index.centroids
-        for list_no in range(index.nlist):
-            ids, codes = index.lists.get(list_no)
-            arrays[f"ids__{list_no}"] = ids
-            if codes is not None:
-                arrays[f"codes__{list_no}"] = codes
+        layout = index._layout
+        if layout is not None:
+            arrays["offsets"] = layout.offsets
+            arrays["ids"] = layout.ids
+            arrays["codes"] = layout.codes
         if isinstance(index, IVFSQ8Index):
             arrays["sq_vmin"] = index.sq.vmin
             arrays["sq_vdiff"] = index.sq.vdiff
@@ -122,12 +124,6 @@ def index_from_bytes(blob: bytes) -> VectorIndex:
         if itype == "IVF_OPQ":
             index.rotation = archive["opq_rotation"]
         index._trained = True
-        total = 0
-        for list_no in range(nlist):
-            ids = archive[f"ids__{list_no}"]
-            key = f"codes__{list_no}"
-            if len(ids) and key in archive:
-                index.lists.append(list_no, ids, archive[key])
-                total += len(ids)
-        index._ntotal = total
+        if "codes" in archive:
+            index._publish(archive["offsets"], archive["ids"], archive["codes"])
         return index

@@ -6,119 +6,79 @@ the vectors within each bucket."  Query processing takes two steps:
 (1) find the closest ``nprobe`` buckets by centroid distance; (2) scan
 each relevant bucket with the fine quantizer.
 
-:class:`IVFIndexBase` implements the coarse step, inverted-list
-bookkeeping, bucket selection, and the two-step search loop; fine
-quantizers only implement ``_encode`` and ``_scan_list``.
+:class:`IVFIndexBase` implements the coarse step, bucket storage,
+bucket selection, and the two-step search loop; fine quantizers only
+implement ``_encode``, ``_scan_terms`` and ``_scan_list``.
 
-Two execution paths share the same counters and (up to float summation
-order and tie-breaks) the same results:
+Storage is one read-only :class:`IVFLayout` per index, shaped like
+Faiss's array-backed inverted lists: ``offsets`` delimit each bucket's rows
+in bucket-sorted ``ids`` and ``codes`` arrays, next to the per-row
+scan terms the fine quantizer needs (``|x|^2`` or unit rows, SQ8 code
+casts and decoded norms, PQ flat LUT indices), computed once when the
+layout is built.  ``add`` builds a new layout and publishes it with a
+single attribute assignment, so a search reads one consistent layout
+without taking a lock.
 
-* the **kernel path** (default): a per-query-batch scan context from
-  ``_begin_scan`` (PQ ADC tables / SQ8 affine terms built exactly once
-  per batch) plus bucket-major execution — every bucket is scanned
-  once for *all* the queries probing it, and per-query results are
-  assembled with one :func:`merge_topk_batch` call over the padded
-  per-bucket partials (paper Sec. 3.2.1, cache-aware design);
-* the **reference path** (``REPRO_KERNELS=0``): the original
-  query-major loop with no context, kept as the equivalence baseline
-  for tests and the kernel ablation bench.
+Search is bucket-major: a per-query-batch scan context from
+``_begin_scan`` (PQ ADC tables / SQ8 affine terms built exactly once
+per batch) is threaded through the scans, every bucket is scanned
+once for *all* the queries probing it, and per-query results are
+assembled with one :func:`merge_topk_batch` call over the per-bucket
+partials (paper Sec. 3.2.1, cache-aware design).
 """
 
 from __future__ import annotations
 
 import abc
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.index import kernels
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.kmeans import KMeans, assign_to_centroids
 from repro.metrics.base import MetricKind
 from repro.metrics.dense import l2_squared_pairwise
 from repro.obs.profile import current_node
-from repro.utils import (
-    ensure_positive,
-    merge_topk,
-    merge_topk_batch,
-    topk_from_scores,
-)
-from repro.utils.sanitizer import maybe_sanitize
+from repro.utils import ensure_positive, merge_topk_batch
 
 DEFAULT_NLIST = 128
 DEFAULT_NPROBE = 8
 
+#: row-aligned per-row scan terms of a fine quantizer (may be empty).
+Terms = Tuple[np.ndarray, ...]
 
-class InvertedLists:
-    """Per-bucket row ids and fine-quantizer codes.
 
-    Codes are stored as one ndarray per bucket with an index-specific
-    dtype/shape chosen by the fine quantizer; this class is agnostic.
+class IVFLayout:
+    """Read-only bucket-sorted storage of one IVF index.
 
-    Thread-safety: :meth:`get` compacts a bucket's append blocks into
-    one array *lazily on the read path*, and concurrent queries hit the
-    same index under the parallel per-segment executor — so every
-    block-list access runs under an internal leaf lock (sanitizer role
-    ``"ivf-lists"``, guarded fields declared below and in pyproject).
-    The lock is held only around list bookkeeping and the concatenate;
-    returned arrays are immutable by convention (appends create new
-    blocks, never mutate returned ones).
+    Bucket ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of ``ids``,
+    ``codes`` and every array in ``terms``.  Every array is frozen
+    (``writeable=False``): an ``add`` publishes a new layout rather
+    than mutating this one, so readers never need a lock.
     """
 
-    _GUARDED_BY = {"ids": "_lock", "codes": "_lock", "_sizes": "_lock"}
+    __slots__ = ("offsets", "ids", "codes", "terms")
 
-    def __init__(self, nlist: int):
-        self.nlist = nlist
-        self._lock = maybe_sanitize(threading.Lock(), "ivf-lists")
-        self.ids: List[List[np.ndarray]] = [[] for __ in range(nlist)]
-        self.codes: List[List[np.ndarray]] = [[] for __ in range(nlist)]
-        self._sizes = np.zeros(nlist, dtype=np.int64)
+    def __init__(
+        self, offsets: np.ndarray, ids: np.ndarray, codes: np.ndarray, terms: Terms
+    ):
+        for arr in (offsets, ids, codes, *terms):
+            arr.flags.writeable = False
+        self.offsets = offsets
+        self.ids = ids
+        self.codes = codes
+        self.terms = terms
 
-    def append(self, list_no: int, ids: np.ndarray, codes: np.ndarray) -> None:
-        if len(ids) == 0:
-            return
-        with self._lock:
-            self.ids[list_no].append(np.asarray(ids, dtype=np.int64))
-            self.codes[list_no].append(codes)
-            self._sizes[list_no] += len(ids)
+    def bucket(self, list_no: int) -> Tuple[np.ndarray, np.ndarray, Terms]:
+        """``(ids, codes, terms)`` views of one bucket's rows."""
+        lo, hi = int(self.offsets[list_no]), int(self.offsets[list_no + 1])
+        return self.ids[lo:hi], self.codes[lo:hi], tuple(t[lo:hi] for t in self.terms)
 
-    def get(self, list_no: int):
-        """Return (ids, codes) for one bucket, compacting lazily."""
-        with self._lock:
-            if len(self.ids[list_no]) > 1:
-                self.ids[list_no] = [np.concatenate(self.ids[list_no])]
-                self.codes[list_no] = [np.concatenate(self.codes[list_no])]
-            if not self.ids[list_no]:
-                return np.empty(0, dtype=np.int64), None
-            return self.ids[list_no][0], self.codes[list_no][0]
-
-    def is_compacted_block(self, list_no: int, codes: np.ndarray) -> bool:
-        """Is ``codes`` the bucket's single compacted block (by identity)?
-
-        Kernel caches key bucket-side precomputations on this: a
-        ``row_filter`` slices codes into a fresh array, which must be
-        scored directly rather than against cached full-bucket terms.
-        """
-        with self._lock:
-            blocks = self.codes[list_no]
-            return len(blocks) == 1 and codes is blocks[0]
-
-    def size(self, list_no: int) -> int:
-        return int(self._sizes[list_no])
-
-    @property
-    def total(self) -> int:
-        return int(self._sizes.sum())
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     def memory_bytes(self) -> int:
-        with self._lock:
-            total = 0
-            for blocks in self.ids:
-                total += sum(b.nbytes for b in blocks)
-            for blocks in self.codes:
-                total += sum(b.nbytes for b in blocks)
-            return total
+        return sum(a.nbytes for a in (self.offsets, self.ids, self.codes, *self.terms))
 
 
 class IVFIndexBase(VectorIndex):
@@ -142,8 +102,8 @@ class IVFIndexBase(VectorIndex):
         self.kmeans_iters = kmeans_iters
         self.seed = seed
         self.centroids: Optional[np.ndarray] = None
-        self.lists = InvertedLists(self.nlist)
-        self._ntotal = 0
+        #: the published storage; ``None`` until the first ``add``.
+        self._layout: Optional[IVFLayout] = None
 
     # -- training --------------------------------------------------------
 
@@ -163,29 +123,30 @@ class IVFIndexBase(VectorIndex):
     # -- ingest ------------------------------------------------------------
 
     def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        labels, __ = assign_to_centroids(vectors, self.centroids)
-        for list_no in np.unique(labels):
-            mask = labels == list_no
-            codes = self._encode(vectors[mask], int(list_no))
-            self.lists.append(int(list_no), ids[mask], codes)
-        self._ntotal += len(vectors)
+        """Merge the new rows behind the old ones and publish a new layout.
 
-    def warm(self) -> None:
-        """Precompute per-bucket kernel terms for every populated bucket.
-
-        Compacts each inverted list and runs the subclass's
-        ``_warm_list`` hook (code casts, decoded norms, flat LUT
-        indices) so the first search of a batch pays only the scans.
+        A *stable* sort by bucket keeps every bucket in insertion order,
+        so a layout grown by several adds equals one built by a single
+        add of the same rows.  Single writer: concurrent ``add`` calls
+        must be serialized by the caller.
         """
-        if not kernels.kernels_enabled():
-            return
-        for list_no in range(self.nlist):
-            ids, codes = self.lists.get(list_no)
-            if len(ids):
-                self._warm_list(list_no, codes)
+        labels, __ = assign_to_centroids(vectors, self.centroids)
+        codes = self._encode(vectors)
+        old = self._layout
+        if old is not None:
+            labels = np.concatenate(
+                [np.repeat(np.arange(self.nlist), old.sizes()), labels]
+            )
+            ids = np.concatenate([old.ids, ids])
+            codes = np.concatenate([old.codes, codes])
+        order = np.argsort(labels, kind="stable")
+        offsets = np.zeros(self.nlist + 1, dtype=np.int64)
+        np.cumsum(np.bincount(labels, minlength=self.nlist), out=offsets[1:])
+        self._publish(offsets, ids[order], codes[order])
 
-    def _warm_list(self, list_no: int, codes: np.ndarray) -> None:
-        """Hook: cache query-independent terms for one compacted bucket."""
+    def _publish(self, offsets: np.ndarray, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Compute the scan terms of bucket-sorted rows and swap the layout in."""
+        self._layout = IVFLayout(offsets, ids, codes, self._scan_terms(codes))
 
     # -- search --------------------------------------------------------------
 
@@ -210,79 +171,25 @@ class IVFIndexBase(VectorIndex):
         row_filter: Optional[np.ndarray] = None,
         **params,
     ) -> SearchResult:
-        """Two-step IVF search.
+        """Two-step IVF search, bucket-major over the whole query block.
 
         Args:
             nprobe: number of buckets to probe (accuracy/speed knob).
             row_filter: optional sorted int64 array of admissible row
                 ids (used by attribute-filtering strategy B).
-        """
-        if params:
-            raise TypeError(f"unknown search params: {sorted(params)}")
-        bucket_ids = self.select_buckets(queries, nprobe)
-        if kernels.kernels_enabled():
-            ctx = self._begin_scan(queries)
-            return self._search_batched(queries, k, bucket_ids, row_filter, ctx)
-        return self._search_perquery(queries, k, bucket_ids, row_filter)
-
-    def _search_perquery(
-        self,
-        queries: np.ndarray,
-        k: int,
-        bucket_ids: np.ndarray,
-        row_filter: Optional[np.ndarray],
-    ) -> SearchResult:
-        """Reference query-major loop (the pre-kernel execution path)."""
-        result = SearchResult.empty(len(queries), k, self.metric)
-        node = current_node()
-        buckets_probed = rows_scanned = pruned = 0
-        for qi in range(len(queries)):
-            parts = []
-            for list_no in bucket_ids[qi]:
-                ids, codes = self.lists.get(int(list_no))
-                if len(ids) == 0:
-                    continue
-                buckets_probed += 1
-                rows_scanned += len(ids)
-                if row_filter is not None:
-                    keep = _sorted_membership(ids, row_filter)
-                    pruned += len(ids) - int(keep.sum())
-                    if not keep.any():
-                        continue
-                    ids = ids[keep]
-                    codes = codes[keep]
-                scores = self._scan_list(queries[qi : qi + 1], codes, int(list_no))[0]
-                parts.append(topk_from_scores(
-                    scores, k, self.metric.higher_is_better, ids=ids
-                ))
-            top_ids, top_scores = merge_topk(parts, k, self.metric.higher_is_better)
-            result.ids[qi, : len(top_ids)] = top_ids
-            result.scores[qi, : len(top_scores)] = top_scores
-        if node is not None:
-            node.count("buckets_probed", buckets_probed)
-            node.count("rows_scanned", rows_scanned)
-            if pruned:
-                node.count("candidates_pruned", pruned)
-        return result
-
-    def _search_batched(
-        self,
-        queries: np.ndarray,
-        k: int,
-        bucket_ids: np.ndarray,
-        row_filter: Optional[np.ndarray],
-        ctx,
-    ) -> SearchResult:
-        """Bucket-major execution over the whole query block.
 
         Each bucket is scanned once for the group of queries probing it
         (one kernel call / GEMM per bucket), per-bucket top-k is
         extracted with one vectorized ``argpartition`` over the group,
-        and the padded partials merge with one :func:`merge_topk_batch`
-        call.  Work counters are exactly the reference path's: every
-        (query, bucket) probe still accounts its rows, evals, and
-        pruning individually.
+        and the partials merge with one :func:`merge_topk_batch` call.
+        Every (query, bucket) probe still accounts its rows, evals and
+        pruning individually in the work counters.
         """
+        if params:
+            raise TypeError(f"unknown search params: {sorted(params)}")
+        layout = self._layout
+        bucket_ids = self.select_buckets(queries, nprobe)
+        ctx = self._begin_scan(queries)
         nq = len(queries)
         higher = self.metric.higher_is_better
         node = current_node()
@@ -305,7 +212,7 @@ class IVFIndexBase(VectorIndex):
         cand_scores = np.full((nq, width), worst, dtype=np.float32)
         cursor = np.zeros(nq, dtype=np.int64)
         for list_no, qlist in by_bucket.items():
-            ids, codes = self.lists.get(list_no)
+            ids, codes, terms = layout.bucket(list_no)
             if len(ids) == 0:
                 continue
             group = len(qlist)
@@ -316,12 +223,10 @@ class IVFIndexBase(VectorIndex):
                 pruned += group * (len(ids) - int(keep.sum()))
                 if not keep.any():
                     continue
-                ids = ids[keep]
-                codes = codes[keep]
+                ids, codes = ids[keep], codes[keep]
+                terms = tuple(t[keep] for t in terms)
             qidx = np.asarray(qlist, dtype=np.int64)
-            scores = self._scan_list(
-                queries[qidx], codes, list_no, ctx=ctx, qidx=qidx
-            )
+            scores = self._scan_list(queries[qidx], codes, terms, ctx, qidx)
             top_idx, top_scores = _topk_rows(scores, k, higher)
             k_eff = top_idx.shape[1]
             cols = cursor[qidx, np.newaxis] + np.arange(k_eff)
@@ -352,17 +257,18 @@ class IVFIndexBase(VectorIndex):
         coverage, like top-k IVF search)."""
         if params:
             raise TypeError(f"unknown range params: {sorted(params)}")
+        layout = self._layout
         bucket_ids = self.select_buckets(queries, nprobe)
-        ctx = self._begin_scan(queries) if kernels.kernels_enabled() else None
+        ctx = self._begin_scan(queries)
         out = [[] for __ in range(len(queries))]
         for qi in range(len(queries)):
             qidx = np.array([qi], dtype=np.int64)
             for list_no in bucket_ids[qi]:
-                ids, codes = self.lists.get(int(list_no))
+                ids, codes, terms = layout.bucket(int(list_no))
                 if len(ids) == 0:
                     continue
                 scores = self._scan_list(
-                    queries[qi : qi + 1], codes, int(list_no), ctx=ctx, qidx=qidx
+                    queries[qi : qi + 1], codes, terms, ctx, qidx
                 )[0]
                 if self.metric.higher_is_better:
                     hits = np.flatnonzero(scores >= radius)
@@ -385,45 +291,52 @@ class IVFIndexBase(VectorIndex):
         return None
 
     @abc.abstractmethod
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
         """Encode raw vectors into this index's code format."""
+
+    @abc.abstractmethod
+    def _scan_terms(self, codes: np.ndarray) -> Terms:
+        """Query-independent per-row scan terms of ``codes`` (row-aligned)."""
 
     @abc.abstractmethod
     def _scan_list(
         self,
         queries: np.ndarray,
         codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
+        terms: Terms,
+        ctx,
+        qidx: np.ndarray,
     ) -> np.ndarray:
         """Score queries against one bucket's codes -> (m, len(codes)).
 
-        ``ctx`` is the batch context from :meth:`_begin_scan` (``None``
-        on the reference path) and ``qidx`` the row indices of
-        ``queries`` within that batch context.
+        ``terms`` are the matching rows of :meth:`_scan_terms`, ``ctx``
+        is the batch context from :meth:`_begin_scan` and ``qidx`` the
+        row indices of ``queries`` within that batch context.
         """
 
     # -- introspection -------------------------------------------------------
 
     @property
     def ntotal(self) -> int:
-        return self._ntotal
+        layout = self._layout
+        return 0 if layout is None else len(layout.ids)
 
     def memory_bytes(self) -> int:
-        total = self.lists.memory_bytes()
+        total = 0 if self._layout is None else self._layout.memory_bytes()
         if self.centroids is not None:
             total += self.centroids.nbytes
         return total
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy per bucket (diagnostics / scheduler input)."""
-        return np.array([self.lists.size(i) for i in range(self.nlist)])
+        if self._layout is None:
+            return np.zeros(self.nlist, dtype=np.int64)
+        return self._layout.sizes()
 
     def stats(self) -> Dict[str, object]:
         base = super().stats()
         base["nlist"] = self.nlist
-        if self._ntotal:
+        if self.ntotal:
             sizes = self.bucket_sizes()
             base["bucket_min"] = int(sizes.min())
             base["bucket_max"] = int(sizes.max())

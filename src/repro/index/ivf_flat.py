@@ -2,59 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.exec.normcache import NormCache
-from repro.index.ivf_common import IVFIndexBase
-from repro.metrics.dense import cosine_pairwise, l2_squared_pairwise
+from repro.index.ivf_common import IVFIndexBase, Terms
+from repro.metrics.dense import (
+    cosine_pairwise,
+    l2_squared_pairwise,
+    squared_norms,
+    unit_rows,
+)
 from repro.obs.profile import profile_count
 
 
 class IVFFlatIndex(IVFIndexBase):
     """IVF with uncompressed residents — best recall of the IVF family.
 
-    Bucket scans reuse data-side kernel precomputations (``|x|^2``
-    norms for L2, unit rows for cosine) from a :class:`NormCache`, so
-    repeated probes of the same bucket cost one GEMM plus cached adds.
-    The cache is invalidated wholesale on every ``add`` — appends
-    mutate bucket contents in place — and only engages for a bucket's
-    full compacted code block (a ``row_filter`` slices codes into a
-    fresh array, which is scored directly).
+    The layout stores the data-side kernel terms next to the rows
+    (``|x|^2`` for L2, unit rows for cosine), so a bucket scan is one
+    GEMM plus precomputed adds, filtered or not.
     """
 
     index_type = "IVF_FLAT"
 
-    def __init__(self, dim: int, **kwargs):
-        super().__init__(dim, **kwargs)
-        self.kernel_cache = NormCache()
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return np.asarray(vectors, dtype=np.float32)
 
-    def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        super()._add(vectors, ids)
-        self.kernel_cache.invalidate()
+    def _scan_terms(self, codes: np.ndarray) -> Terms:
+        if self.metric.name == "l2":
+            return (squared_norms(codes),)
+        if self.metric.name == "cosine":
+            return (unit_rows(codes),)
+        return ()
 
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
-        return vectors.astype(np.float32, copy=True)
-
-    def _scan_list(
-        self,
-        queries: np.ndarray,
-        codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def _scan_list(self, queries, codes, terms, ctx, qidx) -> np.ndarray:
         profile_count("distance_evals", len(queries) * len(codes))
         profile_count("bytes_read", len(queries) * codes.nbytes)
-        if self.lists.is_compacted_block(list_no, codes):
-            if self.metric.name == "l2":
-                norms = self.kernel_cache.squared_norms(list_no, codes)
-                return l2_squared_pairwise(queries, codes, data_sq_norms=norms)
-            if self.metric.name == "cosine":
-                unit = self.kernel_cache.unit_rows(list_no, codes)
-                return cosine_pairwise(queries, codes, data_unit=unit)
+        if self.metric.name == "l2":
+            return l2_squared_pairwise(queries, codes, data_sq_norms=terms[0])
+        if self.metric.name == "cosine":
+            return cosine_pairwise(queries, codes, data_unit=terms[0])
         return self.metric.pairwise(queries, codes)
-
-    def memory_bytes(self) -> int:
-        return super().memory_bytes() + self.kernel_cache.memory_bytes()

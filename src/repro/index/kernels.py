@@ -13,7 +13,8 @@ shapes this module reproduces in numpy:
   gather per sub-quantizer.  This is the numpy analogue of Faiss's
   register-resident "fast scan" tables: fewer, bigger gathers that stay
   in cache.  The block size trades gather-temp size against python
-  overhead; ``benchmarks/bench_ablation_kernels.py`` sweeps it.
+  overhead and is chosen from the input size;
+  ``benchmarks/bench_ablation_kernels.py`` sweeps it.
 
 * **Per-query-batch table reuse** — :class:`PQScanContext` /
   :class:`SQ8ScanContext` are built once per search batch by
@@ -30,10 +31,11 @@ shapes this module reproduces in numpy:
   - ``|v|^2  = (a^2) . c^2 + 2 (a*b) . c + |b|^2``  (query-independent)
   - ``L2     = |q|^2 - 2 q.v + |v|^2``,  ``cosine = q.v / (|q| |v|)``
 
-  The per-bucket terms (the float32 cast of the uint8 codes and the
-  decoded squared norms) depend only on immutable bucket contents and
-  are memoized in a :class:`CodeCache`, so repeated probes of one
-  bucket cost exactly one GEMM.
+  The decoded squared norms (:func:`sq8_decoded_sqnorms`) depend only
+  on the stored codes; IVF_SQ8 computes them once into its
+  bucket-sorted layout, so a bucket scan costs one uint8 -> float32
+  cast plus one GEMM.  The cast itself is not stored: at 4x the code
+  bytes it would undo SQ8's memory saving over IVF_FLAT.
 
 * **OPQ** — :func:`train_opq_rotation` learns an orthogonal rotation
   ``R`` minimizing PQ reconstruction error by alternating codebook
@@ -41,34 +43,24 @@ shapes this module reproduces in numpy:
   ``R = U V^T,  U S V^T = svd(X^T decode(encode(X R)))``.  Rotation
   preserves L2/IP/cosine, so rotated-space ADC scores are raw-space
   scores.  Training is seeded and deterministic.
-
-Knobs: ``REPRO_KERNELS=0`` falls back to the naive per-query reference
-paths (the equivalence baseline), ``REPRO_KERNEL_BLOCK`` overrides the
-blocked-LUT block size (default :data:`DEFAULT_BLOCK`).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.metrics.dense import l2_from_expansion, unit_rows
-from repro.obs import get_obs
-from repro.obs.profile import profile_count
-from repro.utils.sanitizer import maybe_sanitize
 
 __all__ = [
     "DEFAULT_BLOCK",
-    "kernels_enabled",
-    "kernel_block_size",
     "flatten_tables",
+    "flat_code_indices",
     "adc_scan_blocked",
     "PQScanContext",
     "SQ8ScanContext",
-    "CodeCache",
+    "sq8_decoded_sqnorms",
     "train_opq_rotation",
 ]
 
@@ -78,30 +70,13 @@ __all__ = [
 #: cache-resident for typical bucket sizes.
 DEFAULT_BLOCK = 4
 
-#: when neither the caller nor ``REPRO_KERNEL_BLOCK`` pins a block
-#: size, scans whose full-width gather temp ``nq * n * m`` stays under
-#: this many float32 elements (16 MiB) skip blocking entirely: one
-#: gather + sum for all ``m`` sub-quantizers beats two python-level
-#: dispatch rounds whenever the temp fits comfortably in cache.  The
-#: bench_ablation_kernels sweep shows the crossover.
+#: when the caller does not pin a block size, scans whose full-width
+#: gather temp ``nq * n * m`` stays under this many float32 elements
+#: (16 MiB) skip blocking entirely: one gather + sum for all ``m``
+#: sub-quantizers beats two python-level dispatch rounds whenever the
+#: temp fits comfortably in cache.  The bench_ablation_kernels sweep
+#: shows the crossover.
 FUSED_GATHER_ELEMS = 1 << 22
-
-
-def kernels_enabled() -> bool:
-    """Batched/kernel scan paths on (default); ``REPRO_KERNELS=0`` selects
-    the naive per-query reference paths for A/B comparison."""
-    return os.environ.get("REPRO_KERNELS", "1") != "0"
-
-
-def kernel_block_size() -> int:
-    """Blocked-LUT block size (``REPRO_KERNEL_BLOCK`` overrides)."""
-    raw = os.environ.get("REPRO_KERNEL_BLOCK", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_BLOCK
 
 
 # -- blocked flat-LUT PQ scanning ------------------------------------------
@@ -117,12 +92,14 @@ def flat_code_indices(codes: np.ndarray, ksub: int) -> np.ndarray:
     """Offset a bucket's ``(n, m)`` codes to flat LUT indices, once.
 
     Code ``c`` of sub-quantizer ``s`` indexes flat slot ``s * ksub + c``
-    of every query's LUT row.  Query-independent, so cacheable per
-    bucket.
+    of every query's LUT row.  Query-independent, so IVF_PQ stores it
+    in its layout, in the narrowest unsigned dtype that holds
+    ``m * ksub - 1`` (gathers cost the same as with int64 indices).
     """
     __, m = codes.shape
-    flat = codes.astype(np.int64)
-    flat += np.arange(m, dtype=np.int64) * ksub
+    dtype = np.min_scalar_type(m * ksub - 1)
+    flat = codes.astype(dtype)
+    flat += (np.arange(m) * ksub).astype(dtype)
     return flat
 
 
@@ -137,21 +114,17 @@ def adc_scan_blocked(
 
     Codes are offset once to flat LUT indices (precomputed
     ``flat_codes`` skips that pass), then each block of sub-quantizers
-    is scored with a single gather + sum.  When the block size is left
-    unpinned and the full-width gather temp is small
-    (:data:`FUSED_GATHER_ELEMS`), all ``m`` sub-quantizers are scored
-    in one gather.  Equivalent to :meth:`ProductQuantizer.adc_scan` up
-    to float summation order.
+    is scored with a single gather + sum.  When ``block`` is left
+    unpinned it follows the input size: all ``m`` sub-quantizers in one
+    gather while the full-width gather temp stays under
+    :data:`FUSED_GATHER_ELEMS`, :data:`DEFAULT_BLOCK` beyond that.
+    Equivalent to :meth:`ProductQuantizer.adc_scan` up to float
+    summation order.
     """
     n, m = codes.shape
     nq = tables_flat.shape[0]
     if block is None:
-        block = kernel_block_size()
-        if (
-            "REPRO_KERNEL_BLOCK" not in os.environ
-            and nq * n * m <= FUSED_GATHER_ELEMS
-        ):
-            block = m
+        block = m if nq * n * m <= FUSED_GATHER_ELEMS else DEFAULT_BLOCK
     if flat_codes is None:
         flat_codes = flat_code_indices(codes, ksub)
     if block >= m:
@@ -171,13 +144,11 @@ class PQScanContext:
     queries probing a particular bucket.
     """
 
-    __slots__ = ("tables_flat", "ksub", "block")
+    __slots__ = ("tables_flat", "ksub")
 
-    def __init__(self, tables_flat: np.ndarray, ksub: int, block: Optional[int] = None):
+    def __init__(self, tables_flat: np.ndarray, ksub: int):
         self.tables_flat = tables_flat
         self.ksub = ksub
-        # None defers to adc_scan_blocked's size-adaptive choice.
-        self.block = block
 
     @classmethod
     def build(cls, pq, queries: np.ndarray, metric_name: str) -> "PQScanContext":
@@ -188,104 +159,65 @@ class PQScanContext:
         self,
         codes: np.ndarray,
         qidx: Optional[np.ndarray] = None,
-        cache: Optional["CodeCache"] = None,
-        cache_key: Optional[Hashable] = None,
+        terms: Tuple[np.ndarray, ...] = (),
     ) -> np.ndarray:
-        flat = None
-        if cache is not None and cache_key is not None:
-            flat = cache.get(
-                "pqflat", cache_key, lambda: flat_code_indices(codes, self.ksub)
-            )
+        """Score the batch rows ``qidx`` against ``(n, m)`` codes.
+
+        ``terms`` may carry the codes' precomputed
+        :func:`flat_code_indices`, which skips the offset pass.
+        """
+        flat = terms[0] if terms else None
         tables = self.tables_flat if qidx is None else self.tables_flat[qidx]
-        return adc_scan_blocked(tables, codes, self.ksub, self.block, flat_codes=flat)
-
-
-# -- per-bucket kernel-term cache ------------------------------------------
-
-
-class CodeCache:
-    """Memoized per-bucket kernel terms over immutable bucket contents.
-
-    Same contract and lock discipline as
-    :class:`~repro.exec.normcache.NormCache` (strict-leaf lock, role
-    ``"normcache"``; compute outside the lock, benign double-compute on
-    concurrent miss) but generic in what it memoizes: the SQ8 scan
-    caches the float32 cast of a bucket's uint8 codes and the decoded
-    squared norms.  Owners call :meth:`invalidate` whenever bucket
-    contents mutate (IVF ``_add``).
-    """
-
-    _GUARDED_BY = {"_entries": "_lock"}
-
-    def __init__(self):
-        self._lock = maybe_sanitize(threading.Lock(), "normcache")
-        self._entries: Dict[Tuple[str, Hashable], np.ndarray] = {}
-
-    def get(
-        self, kind: str, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        full_key = (kind, key)
-        with self._lock:
-            value = self._entries.get(full_key)
-        registry = get_obs().registry
-        if value is not None:
-            registry.counter("normcache_hits_total", kind=kind).inc()
-            profile_count("normcache_hits")
-            return value
-        value = compute()
-        with self._lock:
-            self._entries[full_key] = value
-        registry.counter("normcache_misses_total", kind=kind).inc()
-        profile_count("normcache_misses")
-        return value
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def memory_bytes(self) -> int:
-        with self._lock:
-            return sum(v.nbytes for v in self._entries.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return adc_scan_blocked(tables, codes, self.ksub, flat_codes=flat)
 
 
 # -- decode-free SQ8 scanning ----------------------------------------------
+
+
+def sq8_decoded_sqnorms(sq, codes: np.ndarray) -> np.ndarray:
+    """``t_j = |a*C_j + b|^2`` per code row, without decoding.
+
+    Per dimension the expansion ``a^2 c^2 + 2abc + b^2 = (ac + b)^2``
+    cancels catastrophically in float32 when ``|ac + b| << |b|``, so it
+    accumulates in float64; the finished norm fits float32 and is
+    stored narrow, keeping the per-scan broadcasting against the
+    (nq, n) score matrix in float32.
+    """
+    cf = np.asarray(codes, dtype=np.float32)
+    a = (sq.vdiff / 255.0).astype(np.float32)
+    b = sq.vmin.astype(np.float32)
+    t = (
+        np.einsum("ij,ij,j->i", cf, cf, a * a, dtype=np.float64)
+        + cf @ (2.0 * a * b).astype(np.float64)
+        + float(b.astype(np.float64) @ b.astype(np.float64))
+    )
+    return t.astype(np.float32)
 
 
 class SQ8ScanContext:
     """Per-query-batch affine terms for decode-free SQ8 scoring.
 
     With decode ``v = a * c + b`` (``a = vdiff/255``, ``b = vmin``) and
-    code matrix ``C`` (uint8, cast to float32 once per bucket):
+    code matrix ``C`` (uint8, cast to float32 once):
 
     * query-side, built once per batch: ``qa = q * a`` (``q`` unit-
       normalized first for cosine), ``qb = q . b``, ``|q|^2`` (L2);
-    * bucket-side, cached per bucket: ``Cf = float32(C)`` and the
-      decoded squared norms ``t_j = |a*C_j + b|^2`` computed by einsum
-      without materializing the reconstruction.
+    * row-side: ``Cf = float32(C)``, cast per scan, and the decoded
+      squared norms from :func:`sq8_decoded_sqnorms`.
 
     Every metric then reduces to one GEMM ``qa @ Cf.T`` plus rank-one
     corrections — no float32 decode of the bucket, ever.
     """
 
-    __slots__ = ("metric_name", "qa", "qb", "q_sqnorms", "a", "a_sq", "ab2", "b_sq")
+    __slots__ = ("sq", "metric_name", "qa", "qb", "q_sqnorms")
 
     def __init__(self, sq, queries: np.ndarray, metric_name: str):
         if metric_name not in ("l2", "ip", "cosine"):
             raise ValueError(f"SQ8 kernel does not support metric {metric_name!r}")
+        self.sq = sq
         self.metric_name = metric_name
         a = (sq.vdiff / 255.0).astype(np.float32)
         b = sq.vmin.astype(np.float32)
-        self.a = a
-        self.a_sq = a * a
-        # Per-dimension the expansion a^2 c^2 + 2abc + b^2 = (ac + b)^2
-        # cancels catastrophically in float32 when |ac + b| << |b|, so
-        # the (cached, query-independent) norm terms run in float64.
-        self.ab2 = (2.0 * a * b).astype(np.float64)
-        self.b_sq = float(b.astype(np.float64) @ b.astype(np.float64))
         q = np.asarray(queries, dtype=np.float32)
         if metric_name == "cosine":
             q = unit_rows(q)
@@ -296,58 +228,25 @@ class SQ8ScanContext:
         else:
             self.q_sqnorms = None
 
-    # -- bucket-side terms -------------------------------------------------
-
-    def cast_codes(self, codes: np.ndarray) -> np.ndarray:
-        return codes.astype(np.float32)
-
-    def decoded_sqnorms(self, cf: np.ndarray) -> np.ndarray:
-        """``|a * c + b|^2`` per row, straight from the cast codes.
-
-        Accumulated in float64 (see ``__init__``) but stored float32:
-        only the *accumulation* of the expansion cancels; the finished
-        norm fits float32, and keeping it narrow keeps the per-scan
-        broadcasting against the (nq, n) score matrix in float32.
-        """
-        t = (
-            np.einsum("ij,ij,j->i", cf, cf, self.a_sq, dtype=np.float64)
-            + cf @ self.ab2
-            + self.b_sq
-        )
-        return t.astype(np.float32)
-
-    # -- scoring -----------------------------------------------------------
-
     def scan(
         self,
         codes: np.ndarray,
         qidx: Optional[np.ndarray] = None,
-        cache: Optional[CodeCache] = None,
-        cache_key: Optional[Hashable] = None,
+        terms: Tuple[np.ndarray, ...] = (),
     ) -> np.ndarray:
-        """Score the batch rows ``qidx`` against one bucket's codes.
+        """Score the batch rows ``qidx`` against ``(n, dim)`` codes.
 
-        ``cache``/``cache_key`` memoize the bucket-side terms for a
-        full (compacted, unfiltered) bucket; filtered subsets are cast
-        directly.
+        ``terms`` may carry the codes' precomputed
+        :func:`sq8_decoded_sqnorms` (unused for ip); without it the
+        norms are computed here.
         """
-        if cache is not None and cache_key is not None:
-            cf = cache.get("sq8cast", cache_key, lambda: self.cast_codes(codes))
-            if self.metric_name != "ip":
-                t = cache.get(
-                    "sq8sqnorm", cache_key, lambda: self.decoded_sqnorms(cf)
-                )
-            else:
-                t = None
-        else:
-            cf = self.cast_codes(codes)
-            t = self.decoded_sqnorms(cf) if self.metric_name != "ip" else None
-
+        cf = codes.astype(np.float32)
         qa = self.qa if qidx is None else self.qa[qidx]
         qb = self.qb if qidx is None else self.qb[qidx]
         dots = qa @ cf.T + qb[:, np.newaxis]  # q . decode(c), decode-free
         if self.metric_name == "ip":
             return dots
+        t = terms[0] if terms else sq8_decoded_sqnorms(self.sq, cf)
         if self.metric_name == "l2":
             q_sq = self.q_sqnorms if qidx is None else self.q_sqnorms[qidx]
             return l2_from_expansion(q_sq[:, np.newaxis], dots, t[np.newaxis, :])

@@ -152,7 +152,6 @@ class Segment:
         if index.requires_training:
             index.train(data)
         index.add(data, ids=self.row_ids)
-        index.warm()
         self.indexes[field] = index
 
     def has_index(self, field: str) -> bool:

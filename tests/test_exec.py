@@ -407,9 +407,7 @@ class TestNormCache:
         index.add(data[:200], ids=np.arange(200))
         queries = rng.random((3, 8)).astype(np.float32)
         index.search(queries, 5, nprobe=4)
-        assert len(index.kernel_cache) > 0
         index.add(data[200:], ids=np.arange(200, 300))
-        assert len(index.kernel_cache) == 0  # stale norms dropped
         res = index.search(queries, 5, nprobe=4)
         # Post-add search over all rows matches a fresh identical index.
         fresh = IVFFlatIndex(8, nlist=4)
@@ -419,8 +417,8 @@ class TestNormCache:
         assert np.array_equal(res.ids, fres.ids)
 
     def test_filtered_scan_skips_cache_but_matches(self):
-        """row_filter slices codes into a fresh array: scored directly,
-        and the cached full-bucket path must agree on the overlap."""
+        """row_filter masks a bucket's rows and stored norms alike; the
+        filtered scan must agree with the full-bucket scan on the overlap."""
         rng = np.random.default_rng(13)
         data = rng.random((400, 8)).astype(np.float32)
         index = IVFFlatIndex(8, nlist=4)

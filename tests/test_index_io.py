@@ -63,6 +63,27 @@ class TestRoundtrips:
         np.testing.assert_array_equal(r1.ids, r2.ids)
         np.testing.assert_allclose(r1.scores, r2.scores, rtol=1e-5)
 
+    @pytest.mark.parametrize("cls,kwargs", [
+        (IVFFlatIndex, {}),
+        (IVFSQ8Index, {}),
+        (IVFPQIndex, {"m": 4}),
+    ])
+    def test_ivf_layout_with_empty_buckets(self, data, cls, kwargs):
+        index = cls(16, nlist=8, seed=0, **kwargs)
+        index.train(data)
+        # Rows from only a few buckets, added in two batches.
+        rows = np.flatnonzero(index.select_buckets(data, 1)[:, 0] < 3)
+        index.add(data[rows[:20]], ids=rows[:20])
+        index.add(data[rows[20:]], ids=rows[20:])
+        sizes = index.bucket_sizes()
+        assert (sizes == 0).any() and sizes.sum() == len(rows)
+        restored = _roundtrip(index)
+        np.testing.assert_array_equal(restored.bucket_sizes(), sizes)
+        r1 = index.search(data[:5], 5, nprobe=8)
+        r2 = restored.search(data[:5], 5, nprobe=8)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
+        np.testing.assert_array_equal(r1.scores, r2.scores)
+
     def test_empty_flat(self):
         index = FlatIndex(8)
         restored = _roundtrip(index)

@@ -1,18 +1,20 @@
-"""Quantized-scan kernel layer: equivalence vs the reference paths.
+"""Quantized-scan kernel layer: equivalence vs a reference oracle.
 
 Every kernel (blocked flat-LUT PQ, decode-free SQ8, bucket-major
 batched execution) must reproduce its naive reference up to float
 summation order, with *exactly* the same work counters.  The reference
-paths stay live behind ``REPRO_KERNELS=0``, so these tests A/B the two
-implementations on the same built index.
+lives here, not in the library: a query-major loop over the index's
+bucket layout that scores each probed bucket by decode-then-score
+(SQ8), naive per-sub-quantizer ADC (PQ/OPQ) or a plain metric pairwise
+(IVF_FLAT).
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.filtering.cost import AdaptivePlanner
 from repro.index import (
     IVFOPQIndex,
@@ -25,13 +27,15 @@ from repro.index import (
     index_to_bytes,
 )
 from repro.index import kernels
-from repro.index.ivf_common import InvertedLists
-from repro.obs.profile import QueryProfile
+from repro.index.base import SearchResult
+from repro.index.ivf_flat import IVFFlatIndex
+from repro.obs.profile import QueryProfile, current_node, profile_count
+from repro.utils import merge_topk, topk_from_scores
 
 METRICS = ("l2", "ip", "cosine")
 
-#: work counters that must match bit-for-bit between the kernel and
-#: reference execution paths (cache counters legitimately differ).
+#: work counters that must match bit-for-bit between the kernel path
+#: and the reference oracle.
 WORK_COUNTERS = (
     "distance_evals",
     "rows_scanned",
@@ -45,17 +49,82 @@ def _work(counters):
     return {key: counters.get(key, 0) for key in WORK_COUNTERS}
 
 
-@pytest.fixture()
-def reference_path(monkeypatch):
-    """Force the naive per-query reference path."""
-    monkeypatch.setenv("REPRO_KERNELS", "0")
-
-
 def _build(factory, data):
     index = factory(data.shape[1])
     index.train(data)
     index.add(data)
     return index
+
+
+# -- the reference oracle ----------------------------------------------------
+
+
+def _reference_scores(index, query, codes):
+    """Score one query against codes the naive way -> (1, len(codes))."""
+    profile_count("distance_evals", len(codes))
+    profile_count("bytes_read", codes.nbytes)
+    if isinstance(index, IVFSQ8Index):
+        return index.metric.pairwise(query, index.sq.decode(codes))
+    if isinstance(index, IVFPQIndex):
+        tables = index.pq.build_tables(index._codec_space(query), index.metric.name)
+        return ProductQuantizer.adc_scan(tables, codes)
+    assert isinstance(index, IVFFlatIndex)
+    return index.metric.pairwise(query, codes)
+
+
+def _probes(index, queries, nprobe):
+    """Per query, the non-empty probed buckets as (ids, codes) pairs."""
+    layout = index._layout
+    for qi, buckets in enumerate(index.select_buckets(queries, nprobe)):
+        probes = (layout.bucket(int(b))[:2] for b in buckets)
+        yield qi, [(ids, codes) for ids, codes in probes if len(ids)]
+
+
+def _reference_search(index, queries, k, nprobe, row_filter=None):
+    """Query-major IVF search with naive scoring and the same counters."""
+    queries = np.asarray(queries, dtype=np.float32)
+    higher = index.metric.higher_is_better
+    result = SearchResult.empty(len(queries), k, index.metric)
+    buckets_probed = rows_scanned = pruned = 0
+    for qi, probes in _probes(index, queries, nprobe):
+        parts = []
+        for ids, codes in probes:
+            buckets_probed += 1
+            rows_scanned += len(ids)
+            if row_filter is not None:
+                keep = np.isin(ids, row_filter)
+                pruned += len(ids) - int(keep.sum())
+                if not keep.any():
+                    continue
+                ids, codes = ids[keep], codes[keep]
+            scores = _reference_scores(index, queries[qi : qi + 1], codes)[0]
+            parts.append(topk_from_scores(scores, k, higher, ids=ids))
+        top_ids, top_scores = merge_topk(parts, k, higher)
+        result.ids[qi, : len(top_ids)] = top_ids
+        result.scores[qi, : len(top_scores)] = top_scores
+    node = current_node()
+    if node is not None:
+        node.count("buckets_probed", buckets_probed)
+        node.count("rows_scanned", rows_scanned)
+        if pruned:
+            node.count("candidates_pruned", pruned)
+    return result
+
+
+def _reference_range(index, queries, radius, nprobe):
+    """Per-query range search with naive scoring, best-first."""
+    queries = np.asarray(queries, dtype=np.float32)
+    higher = index.metric.higher_is_better
+    out = []
+    for qi, probes in _probes(index, queries, nprobe):
+        hits = []
+        for ids, codes in probes:
+            scores = _reference_scores(index, queries[qi : qi + 1], codes)[0]
+            passing = scores >= radius if higher else scores <= radius
+            hits.extend(zip(ids[passing].tolist(), scores[passing].tolist()))
+        hits.sort(key=lambda p: p[1], reverse=higher)
+        out.append(hits)
+    return out
 
 
 # -- blocked flat-LUT PQ kernel --------------------------------------------
@@ -109,11 +178,24 @@ class TestBlockedADC:
             blocked, ProductQuantizer.adc_scan(tables, codes), rtol=1e-5, atol=1e-4
         )
 
-    def test_block_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "7")
-        assert kernels.kernel_block_size() == 7
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "junk")
-        assert kernels.kernel_block_size() == kernels.DEFAULT_BLOCK
+    def test_unpinned_block_follows_input_size(self, pq, monkeypatch):
+        pq, data = pq
+        rng = np.random.default_rng(7)
+        tables_flat = kernels.flatten_tables(
+            pq.build_tables(rng.normal(size=(3, 16)).astype(np.float32), "l2")
+        )
+        codes = pq.encode(data[:50])
+        fused = kernels.adc_scan_blocked(tables_flat, codes, pq.ksub, block=pq.m)
+        np.testing.assert_array_equal(
+            kernels.adc_scan_blocked(tables_flat, codes, pq.ksub), fused
+        )
+        monkeypatch.setattr(kernels, "FUSED_GATHER_ELEMS", 0)
+        np.testing.assert_array_equal(
+            kernels.adc_scan_blocked(tables_flat, codes, pq.ksub),
+            kernels.adc_scan_blocked(
+                tables_flat, codes, pq.ksub, block=kernels.DEFAULT_BLOCK
+            ),
+        )
 
 
 # -- decode-free SQ8 kernel ------------------------------------------------
@@ -167,24 +249,27 @@ class TestDecodeFreeSQ8:
         qidx = np.array([4, 1])
         np.testing.assert_allclose(ctx.scan(codes, qidx), ctx.scan(codes)[qidx])
 
-    def test_cache_hit_returns_same_terms(self, rng):
+    def test_precomputed_norms_match(self, rng):
         from repro.index import ScalarQuantizer
 
         data = rng.normal(size=(80, 8)).astype(np.float32)
         sq = ScalarQuantizer().train(data)
         codes = sq.encode(data)
         queries = rng.normal(size=(3, 8)).astype(np.float32)
-        ctx = kernels.SQ8ScanContext(sq, queries, "l2")
-        cache = kernels.CodeCache()
-        first = ctx.scan(codes, cache=cache, cache_key=7)
-        assert len(cache) == 2  # cast + sqnorms
-        second = ctx.scan(codes, cache=cache, cache_key=7)
-        np.testing.assert_array_equal(first, second)
-        cache.invalidate()
-        assert len(cache) == 0 and cache.memory_bytes() == 0
+        norms = kernels.sq8_decoded_sqnorms(sq, codes)
+        keep = np.arange(0, 80, 3)
+        for metric in ("l2", "cosine"):
+            ctx = kernels.SQ8ScanContext(sq, queries, metric)
+            np.testing.assert_array_equal(
+                ctx.scan(codes, terms=(norms,)), ctx.scan(codes)
+            )
+            # A row subset scores the same against the sliced norms.
+            np.testing.assert_array_equal(
+                ctx.scan(codes[keep], terms=(norms[keep],)), ctx.scan(codes[keep])
+            )
 
 
-# -- end-to-end: kernel path vs reference path ------------------------------
+# -- end-to-end: kernel path vs the reference oracle ------------------------
 
 
 IVF_FACTORIES = [
@@ -201,17 +286,13 @@ class TestKernelVsReferenceSearch:
     @pytest.mark.parametrize("name,factory", IVF_FACTORIES,
                              ids=[n for n, __ in IVF_FACTORIES])
     def test_results_and_counters_match(self, name, factory, metric,
-                                        medium_data, medium_queries,
-                                        monkeypatch):
+                                        medium_data, medium_queries):
         index = _build(lambda d: factory(d, metric), medium_data)
-        index.search(medium_queries, 5, nprobe=4)  # warm caches both ways
 
-        monkeypatch.setenv("REPRO_KERNELS", "1")
         with QueryProfile("kernel") as prof_k:
             fast = index.search(medium_queries, 5, nprobe=4)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
         with QueryProfile("reference") as prof_r:
-            ref = index.search(medium_queries, 5, nprobe=4)
+            ref = _reference_search(index, medium_queries, 5, nprobe=4)
 
         np.testing.assert_allclose(
             np.sort(fast.scores, axis=1), np.sort(ref.scores, axis=1),
@@ -229,18 +310,16 @@ class TestKernelVsReferenceSearch:
             assert overlap >= 0.9, overlap
         assert _work(prof_k.total_counters()) == _work(prof_r.total_counters())
 
-    def test_row_filter_counter_parity(self, medium_data, medium_queries,
-                                       monkeypatch):
+    def test_row_filter_counter_parity(self, medium_data, medium_queries):
         index = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
         row_filter = np.arange(0, len(medium_data), 3, dtype=np.int64)
-        index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
 
-        monkeypatch.setenv("REPRO_KERNELS", "1")
         with QueryProfile("kernel") as prof_k:
             fast = index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
         with QueryProfile("reference") as prof_r:
-            ref = index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
+            ref = _reference_search(
+                index, medium_queries, 5, nprobe=4, row_filter=row_filter
+            )
 
         np.testing.assert_array_equal(fast.ids, ref.ids)
         counters = _work(prof_k.total_counters())
@@ -249,16 +328,14 @@ class TestKernelVsReferenceSearch:
         valid = fast.ids[fast.ids >= 0]
         assert np.isin(valid, row_filter).all()
 
-    def test_range_search_matches(self, medium_data, medium_queries, monkeypatch):
+    def test_range_search_matches(self, medium_data, medium_queries):
         index = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
         # midpoint radius: kernel-vs-reference epsilon must not flip a
         # row's membership, so keep the threshold away from any score
         probe = index.search(medium_queries[:1], 10, nprobe=4)
         radius = float(probe.scores[0, 5] + probe.scores[0, 6]) / 2.0
-        monkeypatch.setenv("REPRO_KERNELS", "1")
         fast = index.range_search(medium_queries[:4], radius, nprobe=4)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        ref = index.range_search(medium_queries[:4], radius, nprobe=4)
+        ref = _reference_range(index, medium_queries[:4], radius, nprobe=4)
         for got, want in zip(fast, ref):
             assert [i for i, __ in got] == [i for i, __ in want]
             np.testing.assert_allclose(
@@ -402,62 +479,70 @@ class TestRowBytesPlanning:
         assert pq.row_code_bytes() == 4
 
 
-# -- InvertedLists thread safety --------------------------------------------
+# -- the immutable layout ----------------------------------------------------
 
 
-class TestInvertedListsConcurrency:
-    def test_concurrent_get_compaction(self):
-        lists = InvertedLists(1)
-        for block in range(40):
-            ids = np.arange(block * 10, block * 10 + 10, dtype=np.int64)
-            lists.append(0, ids, np.full((10, 4), block, dtype=np.uint8))
-        errors = []
+class TestLayout:
+    @pytest.mark.parametrize("name,factory", IVF_FACTORIES,
+                             ids=[n for n, __ in IVF_FACTORIES])
+    def test_layout_arrays_reject_writes(self, name, factory, medium_data):
+        index = _build(lambda d: factory(d, "l2"), medium_data)
+        layout = index._layout
+        for arr in (layout.offsets, layout.ids, layout.codes, *layout.terms):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_search_during_add_sees_pre_or_post_layout(self, medium_data,
+                                                       medium_queries):
+        """Eight readers search while one writer adds: every result is
+        exactly the pre-add or the post-add result of a fresh index."""
+        half = len(medium_data) // 2
+
+        def fresh(rows):
+            index = IVFSQ8Index(medium_data.shape[1], nlist=16)
+            index.train(medium_data)
+            index.add(medium_data[:rows], ids=np.arange(rows))
+            return index
+
+        queries = medium_queries[:8]
+        pre = fresh(half).search(queries, 5, nprobe=4)
+        post = fresh(len(medium_data)).search(queries, 5, nprobe=4)
+        assert not np.array_equal(pre.ids, post.ids)
+        index = fresh(half)
+        done = threading.Event()
+        seen, errors = [], []
 
         def reader():
             try:
-                for __ in range(50):
-                    ids, codes = lists.get(0)
-                    assert len(ids) == len(codes) == 400
-                    assert lists.is_compacted_block(0, codes)
+                while True:
+                    finished = done.is_set()
+                    res = index.search(queries, 5, nprobe=4)
+                    matches = [
+                        np.array_equal(res.ids, want.ids)
+                        and np.array_equal(res.scores, want.scores)
+                        for want in (pre, post)
+                    ]
+                    assert any(matches), "result matches neither layout"
+                    seen.append(matches[1])
+                    if finished:
+                        return
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for __ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            index.add(medium_data[half:], ids=np.arange(half, len(medium_data)))
+            done.set()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        ids, codes = lists.get(0)
-        np.testing.assert_array_equal(ids, np.arange(400))
-
-    def test_concurrent_append_and_get(self):
-        lists = InvertedLists(4)
-        errors = []
-
-        def writer():
-            try:
-                for i in range(60):
-                    lists.append(i % 4, np.array([i], dtype=np.int64),
-                                 np.full((1, 4), i % 256, dtype=np.uint8))
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        def reader():
-            try:
-                for __ in range(120):
-                    for ln in range(4):
-                        ids, codes = lists.get(ln)
-                        if codes is not None:
-                            assert len(ids) == len(codes)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer) for __ in range(4)]
-        threads += [threading.Thread(target=reader) for __ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert lists.total == 240
+        # Each reader's final search started after add returned.
+        assert sum(seen) >= len(threads)
