@@ -39,7 +39,6 @@ MODULES = [
     "bench_ablation_batched_ivf",
     "bench_ablation_kernels",
     "bench_ablation_categorical",
-    "bench_ablation_parallel",
     "bench_mixed_rw",
     "bench_obs_overhead",
 ]

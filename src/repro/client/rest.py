@@ -55,7 +55,6 @@ import numpy as np
 import repro
 from repro.client.sdk import MilvusClient
 from repro.core import MilvusLite, MilvusError
-from repro.exec.pool import parallel_enabled
 from repro.obs import enabled as obs_enabled, get_obs
 from repro.utils.retry import RetryExhaustedError, RetryPolicy
 
@@ -301,7 +300,6 @@ class RestRouter:
         stats["flags"] = {
             "observability": obs_enabled(),
             "sanitize": os.environ.get("REPRO_SANITIZE") == "1",
-            "parallel": parallel_enabled(),
             "background_flush": os.environ.get("REPRO_BG_FLUSH") == "1",
         }
         return RestResponse(200, stats)

@@ -134,10 +134,9 @@ class MilvusClient:
     ):
         """Vector query (optionally filtered); returns per-query hit lists.
 
-        ``params`` ride through to :meth:`Collection.search` — index
-        knobs (``nprobe``, ``ef``) plus the intra-query parallelism
-        knobs ``parallel=`` / ``pool_size=`` (see :mod:`repro.exec`;
-        parallel results are bit-identical to serial).
+        ``params`` ride through to :meth:`Collection.search` as index
+        knobs (``nprobe``, ``ef``, ...); an unknown knob raises
+        :class:`~repro.core.errors.InvalidQueryError`.
 
         With ``explain=True`` the return value is instead a dict with
         ``"hits"`` (the same per-query lists), ``"plan"`` (the planner
@@ -241,9 +240,8 @@ class ClusterClient:
         """Fan-out query; returns the cluster's ClusterSearchResult
         (including ``trace_id`` when tracing is on).
 
-        ``params`` ride through to :meth:`MilvusCluster.search`,
-        including ``parallel=`` / ``pool_size=`` / ``node_timeout=``
-        for pooled reader fan-out (see :mod:`repro.exec`).
+        ``params`` ride through to :meth:`MilvusCluster.search`
+        (``auto_refresh``, ``explain`` and index knobs).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         with get_obs().tracer.span("client.search", nq=len(queries), k=k):

@@ -6,17 +6,16 @@ Implements the paper's three primitive query types (Sec. 2.1):
 * attribute filtering — :meth:`Collection.search` with ``filter=``;
 * multi-vector query — :meth:`Collection.multi_vector_search`.
 
-Writes follow Sec. 5.1's asynchronous processing: with
-``async_writes=True`` inserts/deletes are acknowledged after the WAL
-write and applied by a background thread; :meth:`flush` blocks until
-every pending operation is applied and flushed, so "users may not
-immediately see the inserted data" until they flush.
+Writes: an insert or delete is acknowledged once it is in the WAL and
+the memtable, and becomes visible to searches after a flush — "users
+may not immediately see the inserted data" until they flush (Sec. 5.1).
+Flushing and compaction in the background are the LSM engine's job
+(``REPRO_BG_FLUSH``).
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -27,6 +26,7 @@ from repro.core.errors import InvalidQueryError, SchemaError
 from repro.core.schema import CollectionSchema
 from repro.filtering.cost import AdaptivePlanner
 from repro.index.base import SearchResult
+from repro.index.registry import search_param_names
 from repro.metrics import get_metric
 from repro.obs import get_obs
 from repro.obs.explain import ExplainedResult, explain_search
@@ -55,7 +55,6 @@ class Collection:
         schema: CollectionSchema,
         lsm_config: Optional[LSMConfig] = None,
         fs: Optional[FileSystem] = None,
-        async_writes: bool = False,
         adaptive: Optional[bool] = None,
     ):
         from repro.storage.categorical import CategoryDictionary
@@ -89,14 +88,6 @@ class Collection:
             else bool(adaptive)
         )
         self._planner: Optional[AdaptivePlanner] = None
-        self._async = async_writes
-        self._queue: "queue.Queue" = queue.Queue()
-        self._worker: Optional[threading.Thread] = None
-        if async_writes:
-            self._worker = threading.Thread(
-                target=self._drain_forever, name=f"{schema.name}-writer", daemon=True
-            )
-            self._worker.start()
 
     # -- write path -----------------------------------------------------
 
@@ -104,26 +95,21 @@ class Collection:
         """Insert a batch of entities; returns the assigned row ids.
 
         ``data`` maps every vector field and every attribute field of
-        the schema to an array with one entry per entity.
+        the schema to an array with one entry per entity.  Returns once
+        the rows are in the WAL and the memtable; they become visible
+        to searches after a flush.
         """
         vectors, attributes, categoricals, n = self._split_payload(data)
         with self._id_lock:
             row_ids = np.arange(self._next_row_id, self._next_row_id + n, dtype=np.int64)
             self._next_row_id += n
-        if self._async:
-            self._queue.put(("insert", row_ids, vectors, attributes, categoricals))
-        else:
-            self._lsm.insert(row_ids, vectors, attributes, categoricals)
+        self._lsm.insert(row_ids, vectors, attributes, categoricals)
         get_obs().usage.record_insert(self.schema.name, n)
         return row_ids
 
     def delete(self, row_ids: Sequence[int]) -> None:
         """Delete entities by row id (out-of-place; visible after flush)."""
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if self._async:
-            self._queue.put(("delete", row_ids, None, None, None))
-        else:
-            self._lsm.delete(row_ids)
+        self._lsm.delete(np.asarray(row_ids, dtype=np.int64))
 
     def update(self, row_ids: Sequence[int], data: Dict[str, np.ndarray]) -> np.ndarray:
         """Update = delete + insert (paper Sec. 2.3); returns new row ids."""
@@ -132,9 +118,7 @@ class Collection:
         return new_ids
 
     def flush(self) -> None:
-        """Block until all pending writes are applied and flushed (Sec. 5.1)."""
-        if self._async:
-            self._queue.join()
+        """Seal every acknowledged write, making it searchable (Sec. 5.1)."""
         self._lsm.flush()
         # Calibration learned since the last flush rides the durable
         # manifest, so a restart + recover() resumes a warm planner.
@@ -184,17 +168,6 @@ class Collection:
             categoricals[name] = self._dictionaries[name].encode(values)
         return vectors, attributes, categoricals, int(n)
 
-    def _drain_forever(self) -> None:
-        while True:
-            kind, row_ids, vectors, attributes, categoricals = self._queue.get()
-            try:
-                if kind == "insert":
-                    self._lsm.insert(row_ids, vectors, attributes, categoricals)
-                elif kind == "delete":
-                    self._lsm.delete(row_ids)
-            finally:
-                self._queue.task_done()
-
     # -- read path ----------------------------------------------------------
 
     def search(
@@ -204,17 +177,15 @@ class Collection:
         k: int,
         filter: Optional[AttributeFilter] = None,
         snapshot: Optional[Snapshot] = None,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         explain: bool = False,
         **search_params,
     ) -> SearchResult:
         """Vector query, optionally with an attribute range filter.
 
-        ``parallel`` / ``pool_size`` control intra-query parallelism:
-        segment scans fan out over the shared worker pool (see
-        :mod:`repro.exec`); ``None`` defers to ``REPRO_PARALLEL`` /
-        ``REPRO_POOL_SIZE``.  Results are bit-identical either way.
+        ``search_params`` are index knobs (``nprobe``, ``ef``, ...).  A
+        key that no registered index type declares in its
+        ``SEARCH_PARAMS`` raises :class:`InvalidQueryError` before any
+        segment is scanned, whichever segments the query would reach.
 
         ``explain=True`` returns an :class:`ExplainedResult` instead:
         the same results plus the planner dump
@@ -237,6 +208,12 @@ class Collection:
           ``("color", "in", ["red", "blue"])``, served from the
           inverted-list / bitmap categorical indexes.
         """
+        unknown = set(search_params) - search_param_names()
+        if unknown:
+            raise InvalidQueryError(
+                f"unknown search params {sorted(unknown)}; "
+                f"known: {sorted(search_param_names())}"
+            )
         obs = get_obs()
         # explain always gets its own profile; otherwise profile every
         # top-level search when observability is on (nested searches —
@@ -259,15 +236,14 @@ class Collection:
             )
             with stage:
                 result = self._search_impl(
-                    field, queries, k, filter, snapshot,
-                    parallel=parallel, pool_size=pool_size, **search_params
+                    field, queries, k, filter, snapshot, **search_params
                 )
             elapsed = time.perf_counter() - started
         if profile is not None:
             obs.profiler.record(span.trace_id, profile)
             # Exact usage accounting: the profile's integer counters are
-            # deterministic (serial == pooled), so per-collection usage
-            # equals the sum of the recorded query profiles.
+            # deterministic, so per-collection usage equals the sum of
+            # the recorded query profiles.
             obs.usage.record_query(
                 self.schema.name, elapsed, profile.total_counters())
         elif top_level:
@@ -280,8 +256,7 @@ class Collection:
         )
         if explain:
             plan = explain_search(
-                self, field, queries=queries, k=k, filter=filter,
-                parallel=parallel, pool_size=pool_size, **search_params
+                self, field, queries=queries, k=k, filter=filter, **search_params
             )
             return ExplainedResult(result=result, plan=plan, profile=profile)
         return result
@@ -293,15 +268,12 @@ class Collection:
         k: int,
         filter: Optional[AttributeFilter],
         snapshot: Optional[Snapshot],
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         self.schema.vector_field(field)
         if filter is None:
             return self._lsm.search(
-                field, queries, k, snapshot=snapshot,
-                parallel=parallel, pool_size=pool_size, **search_params
+                field, queries, k, snapshot=snapshot, **search_params
             )
         owned = snapshot is None
         snap = self._lsm.snapshot() if owned else snapshot
@@ -315,12 +287,11 @@ class Collection:
                 return SearchResult.empty(len(queries), k, metric)
             if self._adaptive:
                 return self._adaptive_filtered_search(
-                    field, queries, k, admissible, snap,
-                    parallel=parallel, pool_size=pool_size, **search_params
+                    field, queries, k, admissible, snap, **search_params
                 )
             return self._lsm.search(
                 field, queries, k, snapshot=snap, row_filter=admissible,
-                parallel=parallel, pool_size=pool_size, **search_params
+                **search_params
             )
         finally:
             if owned:
@@ -371,8 +342,6 @@ class Collection:
         k: int,
         admissible: np.ndarray,
         snap: Snapshot,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         """Plan (strategy + knobs) from calibrated costs, execute, feed back."""
@@ -401,8 +370,7 @@ class Collection:
         profile_attr("adaptive_plan", plan.to_dict())
         with measurement_stage("adaptive.exec", strategy=plan.strategy) as stage:
             result = self._execute_plan(
-                field, queries, k, admissible, snap, plan, knobs,
-                index_type, parallel, pool_size,
+                field, queries, k, admissible, snap, plan, knobs, index_type
             )
         nq = len(np.atleast_2d(np.asarray(queries)))
         planner.observe(plan, stage.total_counters(), nq=nq)
@@ -412,20 +380,18 @@ class Collection:
         return result
 
     def _execute_plan(
-        self, field, queries, k, admissible, snap, plan, knobs,
-        index_type, parallel, pool_size,
+        self, field, queries, k, admissible, snap, plan, knobs, index_type
     ) -> SearchResult:
         if plan.strategy == "A" or not index_type:
             # Attribute-first exact scan: brute force over admissible
             # rows only (recall 1 within the filter).
             return self._lsm.search(
                 field, queries, k, snapshot=snap, row_filter=admissible,
-                brute_force=True, parallel=parallel, pool_size=pool_size,
+                brute_force=True,
             )
         if plan.strategy == "B":
             return self._lsm.search(
-                field, queries, k, snapshot=snap, row_filter=admissible,
-                parallel=parallel, pool_size=pool_size, **knobs
+                field, queries, k, snapshot=snap, row_filter=admissible, **knobs
             )
         # Strategy C: one widened unfiltered search, post-filtered
         # against the admissible set; fall back to pushdown if the
@@ -433,10 +399,7 @@ class Collection:
         # come back short when k admissible rows exist.
         p = max(len(admissible) / plan.n, 1e-9)
         k_eff = min(max(int(np.ceil(plan.theta * k / p)), k), plan.n)
-        raw = self._lsm.search(
-            field, queries, k_eff, snapshot=snap,
-            parallel=parallel, pool_size=pool_size, **knobs
-        )
+        raw = self._lsm.search(field, queries, k_eff, snapshot=snap, **knobs)
         metric = get_metric(self.schema.vector_field(field).metric)
         queries_2d = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         out = SearchResult.empty(len(queries_2d), k, metric)
@@ -460,8 +423,7 @@ class Collection:
             node.count("candidates_pruned", pruned)
         if short:
             return self._lsm.search(
-                field, queries, k, snapshot=snap, row_filter=admissible,
-                parallel=parallel, pool_size=pool_size, **knobs
+                field, queries, k, snapshot=snap, row_filter=admissible, **knobs
             )
         return out
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.errors import NodeNotFoundError, NoLiveReadersError
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.node import ReaderNode, WriterNode
-from repro.exec import ExecTimeoutError, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.index.base import SearchResult
 from repro.metrics import get_metric
 from repro.obs import get_obs
@@ -183,9 +183,6 @@ class MilvusCluster:
         queries: np.ndarray,
         k: int,
         auto_refresh: bool = False,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
-        node_timeout: Optional[float] = None,
         explain: bool = False,
         **search_params,
     ) -> ClusterSearchResult:
@@ -211,14 +208,6 @@ class MilvusCluster:
         and silently absorbed lazy index builds).  Builds are hoisted
         via :meth:`ReaderNode.ensure_index` and reported separately as
         ``index_build_seconds``.
-
-        With ``parallel`` on (or ``REPRO_PARALLEL=1``) the fan-out runs
-        readers concurrently on the shared worker pool (see
-        :mod:`repro.exec`); per-reader results come back in reader
-        order, so the merged result is bit-identical to the serial
-        fan-out, and the degraded/missing-shards semantics above are
-        unchanged (a task that raises or exceeds ``node_timeout``
-        seconds just marks its shard missing).
         """
         obs = get_obs()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
@@ -249,10 +238,9 @@ class MilvusCluster:
             def serve(reader: ReaderNode, stage):
                 # Each task returns (build_seconds, partial, node_seconds);
                 # the timed window sits inside the fan-out wall window,
-                # so max(per_node) <= wall holds in both modes.  The
-                # refresh runs inside the task so a shared-storage read
-                # failure degrades this shard instead of failing the
-                # whole query.
+                # so max(per_node) <= wall holds.  The refresh runs
+                # inside the task so a shared-storage read failure
+                # degrades this shard instead of failing the whole query.
                 with stage:
                     if auto_refresh and reader.refresh():
                         reader.build_index()
@@ -261,25 +249,20 @@ class MilvusCluster:
                     partial = reader.search(queries, k, **search_params)
                     return build, partial, time.perf_counter() - node_started
 
-            executor = QueryExecutor(
-                parallel=parallel, pool_size=pool_size, timeout=node_timeout
-            )
-            settled = executor.map_settled(
-                # Per-shard stages are pre-created here, in submission
-                # order on the coordinating thread (default args bind at
-                # list-build time), and entered inside the worker — see
-                # repro.obs.profile on fan-out determinism.
+            settled = QueryExecutor().map_settled(
+                # Per-shard stages are created here, in submission order
+                # (default args bind at list-build time), and entered
+                # inside each task.
                 [
                     lambda r=reader, stage=pstage.stage(
                         "shard.search", node=reader.node_id
                     ): serve(r, stage)
                     for reader in live
                 ],
-                label="reader.search",
                 # Died between the liveness check and its turn in the
-                # fan-out (or its shared-storage read failed, or it ran
-                # past node_timeout): degrade, don't raise.
-                catch=(RuntimeError, IOError, ExecTimeoutError),
+                # fan-out (or its shared-storage read failed): degrade,
+                # don't raise.
+                catch=(RuntimeError, IOError),
             )
             partials = []
             per_node: Dict[str, float] = {}

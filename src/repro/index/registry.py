@@ -7,7 +7,7 @@ constructible by name everywhere (collections, benchmarks, config).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+from typing import Callable, Dict, FrozenSet, List, Type
 
 from repro.index.annoy import AnnoyIndex
 from repro.index.base import VectorIndex
@@ -56,6 +56,11 @@ def create_index(index_type: str, dim: int, metric="l2", **params) -> VectorInde
 def available_index_types() -> List[str]:
     """Names of every registered index type."""
     return sorted(_REGISTRY)
+
+
+def search_param_names() -> FrozenSet[str]:
+    """Every search param some registered index type declares."""
+    return frozenset().union(*(cls.SEARCH_PARAMS for cls in _REGISTRY.values()))
 
 
 for _cls in (

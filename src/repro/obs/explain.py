@@ -104,7 +104,7 @@ def _segment_plan(segment, field: str, tombstones, admissible) -> Dict[str, obje
 
 
 def _filter_plan(collection, filter, snap, k: int, scanned_fraction: float,
-                 index_info=None, nq: int = 1):
+                 index_info, nq: int = 1):
     """Filter section: selectivity + what the cost model recommends.
 
     Without adaptive planning the collection's filtered read path
@@ -121,7 +121,7 @@ def _filter_plan(collection, filter, snap, k: int, scanned_fraction: float,
     admissible = collection._filter_rows(filter, snap)
     n = int(collection._lsm.num_live_rows)
     passing = len(admissible) / n if n else 0.0
-    if getattr(collection, "_adaptive", False) and index_info is not None:
+    if getattr(collection, "_adaptive", False) and index_info[0] is not None:
         index_type, nlist, bucket_sizes, supports, __, row_bytes = index_info
         planner = collection.planner
         qplan = planner.plan(
@@ -210,16 +210,13 @@ def explain_search(
     k: int = 10,
     filter=None,
     scheduler=None,
-    parallel: Optional[bool] = None,
-    pool_size: Optional[int] = None,
     **search_params,
 ) -> Dict[str, object]:
     """The planner dump for one :meth:`Collection.search` call."""
-    from repro.exec import QueryExecutor
+    from repro.filtering.cost import weighted_scanned_fraction
 
     spec = collection.schema.vector_field(field)
     nq = len(np.atleast_2d(np.asarray(queries))) if queries is not None else 1
-    executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
     snap = collection._lsm.snapshot()
     try:
         segments = [
@@ -229,29 +226,12 @@ def explain_search(
         # nlist buckets (bucket-size weighted — heavy buckets are
         # probed disproportionately often); everything else scans the
         # full segment.
-        from repro.filtering.cost import weighted_scanned_fraction
-
+        index_info = collection._index_info(field, snap)
+        __, nlist, sizes = index_info[:3]
         scanned_fraction = 1.0
-        index_info = None
-        for segment in segments:
-            index = segment.indexes.get(field)
-            if index is None:
-                continue
-            nlist = getattr(index, "nlist", None)
-            sizes = (
-                index.bucket_sizes().tolist()
-                if hasattr(index, "bucket_sizes") else None
-            )
-            index_info = (
-                index.index_type, nlist, sizes,
-                index.supports_search_param("row_filter"),
-                type(index).SEARCH_PARAMS,
-                index.row_code_bytes(),
-            )
-            if nlist:
-                nprobe = int(search_params.get("nprobe", 8))
-                scanned_fraction = weighted_scanned_fraction(nprobe, sizes, nlist)
-            break
+        if nlist:
+            nprobe = int(search_params.get("nprobe", 8))
+            scanned_fraction = weighted_scanned_fraction(nprobe, sizes, nlist)
         filter_section, admissible = (None, None)
         if filter is not None:
             filter_section, admissible = _filter_plan(
@@ -268,8 +248,6 @@ def explain_search(
             "k": int(k),
             "nq": nq,
             "params": {key: value for key, value in search_params.items()},
-            "parallel": {"enabled": executor.parallel,
-                         "pool_size": executor.pool_size},
             "segments": segment_entries,
             "segments_selected": sum(e["selected"] for e in segment_entries),
             "segments_skipped": sum(not e["selected"] for e in segment_entries),

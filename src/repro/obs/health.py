@@ -14,7 +14,6 @@ plus failure notes pushed by the background machinery:
   degrades until :meth:`note_bg_ok` reports a subsequent success; a
   *fatal* one (``SimulatedCrash``-style sticky crash) is unhealthy
   and stays unhealthy, exactly like the engine's own ``_bg_crash``;
-* **exec** — pool saturation (``exec_queue_depth`` gauge);
 * **jobs** — any running job whose heartbeat age exceeds
   ``job_stall_seconds`` (a flush parked forever on a stalled write).
 
@@ -51,7 +50,6 @@ _RANK = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
 _SIGNAL_GAUGES = {
     "wal_lag_bytes": "wal_lag_bytes",
     "frozen_memtables": "lsm_frozen_memtables",
-    "exec_queue_depth": "exec_queue_depth",
 }
 
 
@@ -70,7 +68,6 @@ class HealthMonitor:
         wal_lag_unhealthy_bytes: int = 64 << 20,
         frozen_degraded: int = 4,
         frozen_unhealthy: int = 32,
-        exec_queue_degraded: int = 128,
         job_stall_seconds: float = 30.0,
     ):
         self._registry = registry
@@ -80,7 +77,6 @@ class HealthMonitor:
         self.wal_lag_unhealthy_bytes = wal_lag_unhealthy_bytes
         self.frozen_degraded = frozen_degraded
         self.frozen_unhealthy = frozen_unhealthy
-        self.exec_queue_degraded = exec_queue_degraded
         self.job_stall_seconds = job_stall_seconds
         self._lock = maybe_sanitize(threading.Lock(), "obs")
         self._signals: Dict[str, float] = {}
@@ -165,12 +161,6 @@ class HealthMonitor:
             }
         else:
             components["background"] = {"status": HEALTHY, "failures": {}}
-
-        queue_depth = self._numeric(signals, "exec_queue_depth")
-        components["exec"] = {
-            "status": self._grade(queue_depth, self.exec_queue_degraded),
-            "queue_depth": int(queue_depth),
-        }
 
         stalled: List[Dict[str, object]] = []
         if self._jobs is not None:

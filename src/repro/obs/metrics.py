@@ -117,11 +117,6 @@ METRIC_DESCRIPTIONS: Dict[str, str] = {
     "bufferpool_resident_bytes": "Bytes currently pinned or cached in the buffer pool.",
     "normcache_hits_total": "Query-norm cache hits.",
     "normcache_misses_total": "Query-norm cache misses.",
-    # execution pool
-    "exec_tasks_total": "Tasks submitted to the shared worker pool.",
-    "exec_task_timeouts_total": "Pooled tasks that exceeded their per-task timeout.",
-    "exec_queue_depth": "Tasks waiting in the worker-pool queue.",
-    "exec_active_workers": "Worker threads currently running a task.",
     # distributed
     "cluster_searches_total": "Cluster fan-out searches served.",
     "cluster_search_seconds": "Latency of one cluster fan-out search.",

@@ -2,7 +2,7 @@
 
 The profiling layer (PR 5) gives every query an *exact* integer work
 profile (``distance_evals``, ``rows_scanned``, ``bytes_read``,
-``buckets_probed`` — deterministic, serial == pooled).  The usage
+``buckets_probed`` — deterministic across runs).  The usage
 meter aggregates those per collection, together with query/insert
 counts and wall seconds, so ``GET /usage`` answers the multi-tenant
 question the ROADMAP's front door needs: *which collection is doing

@@ -974,8 +974,6 @@ class LSMManager:
         snapshot: Optional[Snapshot] = None,
         row_filter: Optional[np.ndarray] = None,
         brute_force: bool = False,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         """Top-k over everything visible in ``snapshot``.
@@ -983,10 +981,8 @@ class LSMManager:
         Scans sealed segments *and* frozen memtable views — rows are
         searchable from the moment of the freeze, before the
         background flush lands.  Acquires (and releases) a fresh
-        snapshot when none is given.  With ``parallel`` on (or
-        ``REPRO_PARALLEL=1``), scans fan out over the shared worker
-        pool; results are returned in scan order either way, so
-        parallel output is bit-identical to serial (see ``repro.exec``).
+        snapshot when none is given.  Segments are scanned in snapshot
+        order and merged in that order (see ``repro.exec``).
         """
         obs = get_obs()
         metric = get_metric(self.vector_specs[field][1])
@@ -1039,11 +1035,8 @@ class LSMManager:
                             **search_params,
                         )
 
-                executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
-                # Per-segment profile stages are pre-created here, in
-                # submission order, and entered inside each task: child
-                # order and counter placement are then identical for
-                # serial and pooled execution (see repro.obs.profile).
+                # Per-segment profile stages are created here, in
+                # submission order, and entered inside each task.
                 tasks = [
                     lambda seg_id=s, stage=pstage.stage(
                         "segment.search", segment=s
@@ -1056,7 +1049,7 @@ class LSMManager:
                     ): scan_frozen(fid, stage)
                     for f in snap.frozen_ids
                 )
-                partials = executor.map_ordered(tasks, label="segment.search")
+                partials = QueryExecutor().map_ordered(tasks)
                 ids, scores = merge_topk_batch(
                     [(p.ids, p.scores) for p in partials],
                     k,

@@ -255,21 +255,6 @@ class TestAdaptiveCollection:
         assert plans[0][0] == plans[1][0]
         assert plans[0][1] == plans[1][1]
 
-    def test_serial_pooled_bit_identical_with_feedback(self):
-        coll, data = _adaptive_collection(seed=31)
-        queries = random_queries(data, 8, seed=13)
-        # warm the calibrator first so both runs see identical state
-        coll.search("emb", queries, 5, filter=("price", 20.0, 80.0))
-        serial = coll.search(
-            "emb", queries, 5, filter=("price", 20.0, 80.0), parallel=False
-        )
-        pooled = coll.search(
-            "emb", queries, 5, filter=("price", 20.0, 80.0),
-            parallel=True, pool_size=4,
-        )
-        assert np.array_equal(serial.ids, pooled.ids)
-        assert np.array_equal(serial.scores, pooled.scores)
-
     def test_filtered_results_never_leak(self):
         coll, data = _adaptive_collection(seed=8)
         queries = random_queries(data, 5, seed=9)

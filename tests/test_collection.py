@@ -16,7 +16,7 @@ from repro.storage import LSMConfig, TieredMergePolicy
 from repro.datasets import sift_like
 
 
-def make_collection(async_writes=False):
+def make_collection():
     schema = CollectionSchema(
         "items",
         vector_fields=[VectorField("emb", 16)],
@@ -27,7 +27,7 @@ def make_collection(async_writes=False):
         index_build_min_rows=1 << 30,
         merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
     )
-    return Collection(schema, lsm_config=cfg, async_writes=async_writes)
+    return Collection(schema, lsm_config=cfg)
 
 
 @pytest.fixture()
@@ -143,18 +143,59 @@ class TestPointReads:
 
 
 class TestAsyncWrites:
-    def test_flush_drains_queue(self, data, prices):
-        coll = make_collection(async_writes=True)
-        coll.insert({"emb": data[:200], "price": prices[:200]})
-        coll.delete([3])
-        coll.flush()  # blocks until the background writer applied everything
-        assert coll.num_entities == 199
-
     def test_ids_assigned_synchronously(self, data, prices):
-        coll = make_collection(async_writes=True)
+        coll = make_collection()
         ids = coll.insert({"emb": data[:10], "price": prices[:10]})
         assert ids.tolist() == list(range(10))
         coll.flush()
+
+
+class TestSearchParamValidation:
+    """A search param no index type declares is rejected on every
+    segment kind, before any scan."""
+
+    @pytest.fixture()
+    def loaded(self, coll, data, prices):
+        coll.insert({"emb": data[:200], "price": prices[:200]})
+        coll.flush()
+        coll.insert({"emb": data[200:], "price": prices[200:]})
+        coll.flush()
+        return coll
+
+    @pytest.mark.parametrize("params", [
+        {"bogus": 1}, {"nprobee": 4}, {"parallel": True}, {"pool_size": 2},
+    ])
+    def test_unknown_param_rejected_unindexed(self, loaded, data, params):
+        with pytest.raises(InvalidQueryError, match="unknown search params"):
+            loaded.search("emb", data[:2], 5, **params)
+        with pytest.raises(InvalidQueryError):
+            loaded.search("emb", data[:2], 5, filter=("price", 0, 50), **params)
+
+    def test_unknown_param_rejected_indexed(self, loaded, data):
+        loaded.create_index("emb", "IVF_FLAT", nlist=4)
+        with pytest.raises(InvalidQueryError):
+            loaded.search("emb", data[:2], 5, nprobee=4)
+        # A declared knob still works.
+        assert (loaded.search("emb", data[:2], 5, nprobe=4).ids >= 0).all()
+
+    def test_rest_maps_unknown_param_to_400(self, data):
+        from repro.client import RestRouter
+
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "web", "vector_fields": [{"name": "v", "dim": 16}],
+            "attribute_fields": ["price"],
+        })
+        router.handle("POST", "/collections/web/entities", {
+            "data": {"v": data[:50].tolist(), "price": list(range(50))},
+        })
+        router.handle("POST", "/flush", {"collection": "web"})
+        body = {"field": "v", "queries": [data[0].tolist()], "k": 3}
+        assert router.handle("POST", "/collections/web/search", body).ok
+        resp = router.handle("POST", "/collections/web/search",
+                             {**body, "params": {"pool_size": 2}})
+        assert resp.status == 400
+        assert "pool_size" in resp.body["error"]
 
 
 class TestMaintenance:

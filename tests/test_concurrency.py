@@ -64,20 +64,50 @@ class TestConcurrentReadsDuringWrites:
         assert not errors, errors[:3]
 
     def test_async_writer_with_concurrent_flushes(self):
-        schema = CollectionSchema("a", vector_fields=[VectorField("emb", 8)])
-        cfg = LSMConfig(
-            memtable_flush_bytes=1 << 30,
-            index_build_min_rows=1 << 30,
-            merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
-        )
-        coll = Collection(schema, lsm_config=cfg, async_writes=True)
+        """Writer threads insert (acknowledged after WAL + memtable)
+        while another thread flushes: every acknowledged row is
+        searchable after the final flush."""
+        coll = make_collection()
         data = sift_like(1200, dim=8, seed=1)
-        for start in range(0, 1200, 200):
-            coll.insert({"emb": data[start : start + 200]})
+        acked = {}  # row id -> index into data
+        errors = []
+        inserting = threading.Event()
+        inserting.set()
+
+        def client(starts):
+            try:
+                for start in starts:
+                    ids = coll.insert({"emb": data[start : start + 200]})
+                    acked.update(zip(ids.tolist(), range(start, start + 200)))
+            except Exception as exc:  # noqa: BLE001 - surface to main thread
+                errors.append(repr(exc))
+
+        def flusher():
+            try:
+                while inserting.is_set():
+                    coll.flush()
+            except Exception as exc:  # noqa: BLE001 - surface to main thread
+                errors.append(repr(exc))
+
+        clients = [threading.Thread(target=client, args=(range(s, 1200, 600),))
+                   for s in range(0, 600, 200)]
+        flushing = threading.Thread(target=flusher)
+        flushing.start()
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        inserting.clear()
+        flushing.join(timeout=30)
+        assert not flushing.is_alive()
+        assert not errors, errors[:3]
         coll.flush()
+        assert sorted(acked) == list(range(1200))
         assert coll.num_entities == 1200
-        result = coll.search("emb", data[5], 1)
-        assert result.ids[0, 0] == 5
+        for row_id in (0, 599, 1199):
+            result = coll.search("emb", data[acked[row_id]], 1)
+            assert result.ids[0, 0] == row_id
 
     def test_snapshot_refcounts_balanced_after_storm(self):
         coll = make_collection()

@@ -1,13 +1,10 @@
-"""Parallel query execution: pool semantics, batched merge, norm cache.
+"""Query execution: ordered task runs, batched merge, norm cache, and
+degraded cluster fan-out.
 
-The load-bearing property is *bit-identical parallel-vs-serial
-results*: pooled fan-out returns partials in submission order and both
-modes share one merge path, so every equivalence test here asserts
-``array_equal`` on ids and scores, not ``allclose``.
+Fan-out returns partials in submission order through one merge path,
+so every equivalence test here asserts ``array_equal`` on ids and
+scores, not ``allclose``.
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -18,27 +15,10 @@ from repro.core.collection import Collection
 from repro.core.schema import CollectionSchema, VectorField, AttributeField
 from repro.datasets import sift_like, random_queries
 from repro.distributed import MilvusCluster
-from repro.exec import (
-    ExecTimeoutError,
-    QueryExecutor,
-    NormCache,
-    WorkerPool,
-    get_pool,
-    in_worker_thread,
-    parallel_enabled,
-    shutdown_pool,
-)
+from repro.exec import NormCache, QueryExecutor
 from repro.index.ivf_flat import IVFFlatIndex
 from repro.storage import FaultPlan, FaultyFileSystem, InMemoryObjectStore, LSMConfig
 from repro.utils import TopKHeap, merge_topk, merge_topk_batch
-
-
-@pytest.fixture()
-def fresh_pool():
-    """Isolate pool state per test."""
-    shutdown_pool()
-    yield
-    shutdown_pool()
 
 
 @pytest.fixture()
@@ -48,82 +28,7 @@ def obs_on():
     obs.disable()
 
 
-# -- worker pool ------------------------------------------------------------
-
-
-class TestWorkerPool:
-    def test_results_in_submission_order(self, fresh_pool):
-        pool = get_pool(4)
-        # Later tasks finish first; results must still come back in
-        # submission order.
-        def make(i):
-            return lambda: (time.sleep(0.02 * (4 - i)), i)[1]
-
-        settled = pool.map_settled([make(i) for i in range(4)])
-        assert [r for r, __ in settled] == [0, 1, 2, 3]
-        assert all(e is None for __, e in settled)
-
-    def test_errors_delivered_per_slot(self, fresh_pool):
-        pool = get_pool(2)
-
-        def boom():
-            raise ValueError("boom")
-
-        settled = pool.map_settled([lambda: 1, boom, lambda: 3])
-        assert settled[0] == (1, None)
-        assert settled[1][0] is None
-        assert isinstance(settled[1][1], ValueError)
-        assert settled[2] == (3, None)
-
-    def test_per_task_timeout(self, fresh_pool):
-        pool = get_pool(2)
-        release = threading.Event()
-
-        def slow():
-            release.wait(5.0)
-            return "late"
-
-        settled = pool.map_settled([slow, lambda: "fast"], timeout=0.05)
-        release.set()
-        assert isinstance(settled[0][1], ExecTimeoutError)
-        assert settled[1] == ("fast", None)
-
-    def test_pool_grows_never_shrinks(self, fresh_pool):
-        pool = get_pool(2)
-        assert pool.size == 2
-        assert get_pool(4) is pool
-        assert pool.size == 4
-        get_pool(1)
-        assert pool.size == 4
-
-    def test_worker_flag_forces_nested_serial(self, fresh_pool):
-        pool = get_pool(2)
-        [(flags, __)] = pool.map_settled([
-            lambda: (in_worker_thread(),
-                     QueryExecutor(parallel=True, pool_size=4).parallel)
-        ])
-        assert flags == (True, False)  # nested fan-out stays serial
-        assert in_worker_thread() is False
-
-    def test_shutdown_and_lazy_recreate(self, fresh_pool):
-        pool = get_pool(2)
-        shutdown_pool()
-        with pytest.raises(RuntimeError):
-            pool.map_settled([lambda: 1])
-        assert get_pool(2) is not pool
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert parallel_enabled(True) is False  # overrides per-call opt-in
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        assert parallel_enabled(None) is True
-        assert parallel_enabled(False) is False  # per-call opt-out still wins
-        monkeypatch.delenv("REPRO_PARALLEL")
-        assert parallel_enabled(None) is False  # off by default
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
+# -- executor ---------------------------------------------------------------
 
 
 class TestQueryExecutor:
@@ -133,31 +38,24 @@ class TestQueryExecutor:
         def boom():
             raise RuntimeError("x")
 
-        ex = QueryExecutor(parallel=False)
+        ex = QueryExecutor()
         with pytest.raises(RuntimeError):
             ex.map_ordered([lambda: ran.append(1), boom, lambda: ran.append(2)])
         assert ran == [1]  # tasks after the failure never ran
-
-    def test_pooled_uncaught_error_raises_after_settle(self, fresh_pool):
-        ran = []
-
-        def boom():
-            raise RuntimeError("x")
-
-        ex = QueryExecutor(parallel=True, pool_size=2)
         with pytest.raises(RuntimeError):
-            ex.map_settled([boom, lambda: ran.append(1)])
-        assert ran == [1]  # all tasks settled before the raise
+            ex.map_settled([boom, lambda: ran.append(3)], catch=(IOError,))
+        assert ran == [1]  # an uncaught type propagates from map_settled too
 
-    def test_catch_captures_in_both_modes(self, fresh_pool):
+    def test_catch_captures_per_slot(self):
         def boom():
             raise IOError("store down")
 
-        for parallel in (False, True):
-            ex = QueryExecutor(parallel=parallel, pool_size=2)
-            settled = ex.map_settled([lambda: "ok", boom], catch=(IOError,))
-            assert settled[0] == ("ok", None)
-            assert isinstance(settled[1][1], IOError)
+        settled = QueryExecutor().map_settled(
+            [lambda: "ok", boom, lambda: "after"], catch=(IOError,)
+        )
+        assert settled[0] == ("ok", None)
+        assert settled[1][0] is None and isinstance(settled[1][1], IOError)
+        assert settled[2] == ("after", None)  # later tasks still run
 
 
 # -- merge primitives -------------------------------------------------------
@@ -255,74 +153,13 @@ class TestPushManyPrefilter:
         assert heap.items()[0] == (6, 0.05)
 
 
-# -- parallel-vs-serial equivalence ----------------------------------------
+# -- degraded cluster fan-out ----------------------------------------------
 
 
-def _build_multisegment_collection(n_segments=5, rows_per=200, dim=16):
-    schema = CollectionSchema(
-        "exec_equiv",
-        vector_fields=[VectorField("emb", dim, "l2")],
-        attribute_fields=[AttributeField("price")],
-    )
-    coll = Collection(schema, lsm_config=LSMConfig(auto_merge=False))
-    rng = np.random.default_rng(123)
-    for __ in range(n_segments):
-        data = sift_like(rows_per, dim=dim, seed=int(rng.integers(1 << 30)))
-        coll.insert({"emb": data, "price": rng.random(rows_per) * 100})
-        coll.flush()  # one sealed segment per batch
-    return coll
-
-
-class TestParallelSerialEquivalence:
-    @pytest.fixture(scope="class")
-    def collection(self):
-        return _build_multisegment_collection()
-
-    @pytest.fixture(scope="class")
-    def queries(self, collection):
-        rng = np.random.default_rng(7)
-        return rng.random((10, 16)).astype(np.float32) * 4
-
-    def test_lsm_search_bit_identical(self, collection, queries, fresh_pool):
-        serial = collection.search("emb", queries, 10, parallel=False)
-        pooled = collection.search("emb", queries, 10, parallel=True, pool_size=4)
-        assert np.array_equal(serial.ids, pooled.ids)
-        assert np.array_equal(serial.scores, pooled.scores)
-        assert (serial.ids >= 0).all()
-
-    @pytest.mark.parametrize("pool_size", [1, 4])
-    def test_filtered_search_bit_identical(
-        self, collection, queries, pool_size, fresh_pool
-    ):
-        serial = collection.search(
-            "emb", queries, 5, filter=("price", 20.0, 80.0), parallel=False
-        )
-        pooled = collection.search(
-            "emb", queries, 5, filter=("price", 20.0, 80.0),
-            parallel=True, pool_size=pool_size,
-        )
-        assert np.array_equal(serial.ids, pooled.ids)
-        assert np.array_equal(serial.scores, pooled.scores)
-
-    def test_cluster_fanout_bit_identical(self, fresh_pool):
-        data = sift_like(400, dim=8, seed=31)
-        queries = random_queries(data, 8, seed=32)
-        cluster = MilvusCluster(4, dim=8, index_type="FLAT")
-        cluster.insert(np.arange(len(data)), data)
-        cluster.sync()
-        serial = cluster.search(queries, 5, parallel=False)
-        pooled = cluster.search(queries, 5, parallel=True, pool_size=4)
-        assert np.array_equal(serial.result.ids, pooled.result.ids)
-        assert np.array_equal(serial.result.scores, pooled.result.scores)
-        assert pooled.degraded is False
-        assert set(pooled.per_node_seconds) == set(serial.per_node_seconds)
-        for res in (serial, pooled):
-            assert 0 < res.simulated_parallel_seconds <= res.wall_seconds + 1e-9
-
-    @pytest.mark.parametrize("pool_size", [1, 4])
-    def test_midfanout_crash_under_faultplan(self, pool_size, fresh_pool):
+class TestDegradedFanout:
+    def test_midfanout_crash_under_faultplan(self):
         """A reader whose shard-log read dies inside the fan-out task
-        degrades that shard only — identically in serial and pooled."""
+        degrades that shard only."""
         inner = InMemoryObjectStore()
         plan = FaultPlan(seed=41)
         shared = FaultyFileSystem(inner, plan)
@@ -335,10 +172,7 @@ class TestParallelSerialEquivalence:
                        sift_like(30, dim=8, seed=44))
         # reader-1's next shard-log read fails mid-fan-out.
         plan.fail("shardlog/*-reader-1.log", op="read", nth=1, times=1)
-        res = cluster.search(
-            queries, 5, auto_refresh=True, parallel=pool_size > 1,
-            pool_size=pool_size,
-        )
+        res = cluster.search(queries, 5, auto_refresh=True)
         assert res.degraded is True
         assert res.missing_shards == ["reader-1"]
         assert (res.result.ids >= 0).any()
@@ -346,23 +180,47 @@ class TestParallelSerialEquivalence:
         healthy = cluster.search(queries, 5, auto_refresh=True)
         assert healthy.degraded is False
 
-    def test_crashed_reader_equivalent_degradation(self, fresh_pool):
+    def test_crashed_reader_equivalent_degradation(self):
+        """A crashed reader's shard is skipped: the degraded answer is
+        exactly the merge of the surviving readers' answers."""
         data = sift_like(200, dim=8, seed=51)
         queries = random_queries(data, 4, seed=52)
         cluster = MilvusCluster(3, dim=8, index_type="FLAT")
         cluster.insert(np.arange(len(data)), data)
         cluster.sync()
         cluster.crash_reader("reader-2")
-        serial = cluster.search(queries, 5, parallel=False)
-        pooled = cluster.search(queries, 5, parallel=True, pool_size=4)
-        for res in (serial, pooled):
-            assert res.degraded is True
-            assert res.missing_shards == ["reader-2"]
-        assert np.array_equal(serial.result.ids, pooled.result.ids)
-        assert np.array_equal(serial.result.scores, pooled.result.scores)
+        res = cluster.search(queries, 5)
+        assert res.degraded is True
+        assert res.missing_shards == ["reader-2"]
+        assert set(res.per_node_seconds) == {"reader-0", "reader-1"}
+        partials = [
+            cluster.readers[node].search(queries, 5)
+            for node in ("reader-0", "reader-1")
+        ]
+        ids, scores = merge_topk_batch(
+            [(p.ids, p.scores) for p in partials], 5, False,
+            nq=len(queries), dtype=np.float64,
+        )
+        assert np.array_equal(res.result.ids, ids)
+        assert np.array_equal(res.result.scores, scores)
 
 
 # -- norm cache -------------------------------------------------------------
+
+
+def _build_multisegment_collection(n_segments=5, rows_per=200, dim=16):
+    schema = CollectionSchema(
+        "exec_norms",
+        vector_fields=[VectorField("emb", dim, "l2")],
+        attribute_fields=[AttributeField("price")],
+    )
+    coll = Collection(schema, lsm_config=LSMConfig(auto_merge=False))
+    rng = np.random.default_rng(123)
+    for __ in range(n_segments):
+        data = sift_like(rows_per, dim=dim, seed=int(rng.integers(1 << 30)))
+        coll.insert({"emb": data, "price": rng.random(rows_per) * 100})
+        coll.flush()  # one sealed segment per batch
+    return coll
 
 
 class TestNormCache:

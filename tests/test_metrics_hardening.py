@@ -181,12 +181,9 @@ class TestConcurrentScrapes:
                 t.join()
         assert any(k.startswith("ops_total") for k in last)
 
-    def test_rest_metrics_well_formed_under_parallel_query_load(
-        self, obs_on, monkeypatch
-    ):
-        """Scrape GET /metrics while pooled cluster searches run —
-        the REPRO_PARALLEL=1 scenario from CI."""
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+    def test_rest_metrics_well_formed_under_parallel_query_load(self, obs_on):
+        """Scrape GET /metrics while cluster searches run on several
+        client threads."""
         from repro.distributed import MilvusCluster
 
         data = sift_like(200, dim=8, seed=60)
@@ -202,12 +199,14 @@ class TestConcurrentScrapes:
         def query_load():
             try:
                 while not stop.is_set():
-                    cluster.search(queries, 3, parallel=True, pool_size=2)
+                    cluster.search(queries, 3)
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
 
-        writer = threading.Thread(target=query_load, daemon=True)
-        writer.start()
+        clients = [threading.Thread(target=query_load, daemon=True)
+                   for __ in range(3)]
+        for client in clients:
+            client.start()
         try:
             last_total = 0.0
             # scrape until a few searches have landed (bounded retries)
@@ -230,6 +229,7 @@ class TestConcurrentScrapes:
                 time.sleep(0.005)
         finally:
             stop.set()
-            writer.join()
+            for client in clients:
+                client.join()
         assert not errors, errors
         assert last_total > 0

@@ -131,14 +131,14 @@ class TestMaybeSanitize:
             san.disable()
 
 
-def make_collection(**kwargs):
+def make_collection():
     schema = CollectionSchema("c", vector_fields=[VectorField("emb", 8)])
     cfg = LSMConfig(
         memtable_flush_bytes=1 << 30,
         index_build_min_rows=1 << 30,
         merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
     )
-    return Collection(schema, lsm_config=cfg, **kwargs)
+    return Collection(schema, lsm_config=cfg)
 
 
 class TestEngineIntegration:
@@ -204,10 +204,20 @@ class TestEngineIntegration:
         )
 
     def test_async_writer_clean_under_sanitizer(self, tsan):
-        coll = make_collection(async_writes=True)
+        """Writer threads insert while another thread flushes."""
+        coll = make_collection()
         data = sift_like(600, dim=8, seed=2)
-        for start in range(0, 600, 200):
-            coll.insert({"emb": data[start : start + 200]})
+        inserters = [
+            threading.Thread(target=lambda s=start: coll.insert(
+                {"emb": data[s : s + 200]}))
+            for start in range(0, 600, 200)
+        ]
+        flusher = threading.Thread(target=lambda: [coll.flush() for __ in range(3)])
+        for t in inserters + [flusher]:
+            t.start()
+        for t in inserters + [flusher]:
+            t.join(timeout=30)
+            assert not t.is_alive()
         coll.flush()
         assert coll.num_entities == 600
         report = tsan.report()

@@ -759,7 +759,7 @@ class _BodyVisitor(ast.NodeVisitor):
                         return f"{info.name}.{func.attr} (filesystem I/O)"
                     if info.name == "RetryPolicy" and func.attr == "call":
                         return "RetryPolicy.call (retry with backoff)"
-                    if info.name in {"WorkerPool", "QueryExecutor"} and (
+                    if info.name == "WorkerPool" and (
                         func.attr in self.project.config.spawn_methods
                     ):
                         return f"{info.name}.{func.attr} (pool submit/wait)"
